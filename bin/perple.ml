@@ -48,9 +48,20 @@ let test_arg =
   let doc = "Catalog test name (see $(b,perple list)) or path to a .litmus file." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"TEST" ~doc)
 
+(* A usage error: the message every command prints for an [Error], and
+   exit 1 (cmdliner's own parse errors exit 124). *)
+let usage_error m =
+  prerr_endline ("perple: " ^ m);
+  Stdlib.exit 1
+
+(* Checked while the arguments are evaluated, so every command that
+   takes [-n] refuses a non-positive count before doing any work. *)
 let iterations_arg =
-  let doc = "Number of test iterations N." in
-  Arg.(value & opt int 10_000 & info [ "n"; "iterations" ] ~docv:"N" ~doc)
+  let doc = "Number of test iterations N (positive)." in
+  let positive n = if n > 0 then n else usage_error "-n must be positive" in
+  Term.(
+    const positive
+    $ Arg.(value & opt int 10_000 & info [ "n"; "iterations" ] ~docv:"N" ~doc))
 
 let seed_arg =
   let doc = "PRNG seed; equal seeds reproduce runs exactly." in
@@ -158,12 +169,7 @@ let with_observability ~trace ~metrics f =
   result
 
 let wrap f =
-  let report = function
-    | Ok () -> ()
-    | Error m ->
-      prerr_endline ("perple: " ^ m);
-      Stdlib.exit 1
-  in
+  let report = function Ok () -> () | Error m -> usage_error m in
   Term.(const report $ f)
 
 (* --- durability: campaign journal and resume ------------------------------ *)
@@ -1615,18 +1621,23 @@ let serve_cmd =
       value & flag
       & info [ "coordinator" ]
           ~doc:
-            "Shard campaigns into leased work units and farm them out to \
-             $(b,perple worker) processes (falling back to local execution \
-             while no worker is connected).  Leases that miss their renewal \
-             deadline are revoked and reassigned; the merged ledger stays \
-             byte-identical to a single-node run.")
+            "Accepted for compatibility; no effect.  Every daemon is a \
+             coordinator: it shards campaigns into leased work units, \
+             farms them out to any connected $(b,perple worker) processes \
+             and runs them on its in-process worker while none is \
+             connected.")
   in
   let shard_runs_arg =
     Arg.(
       value
-      & opt int Perple_service.Coordinator.default_config.shard_runs
+      & opt (some int) None
       & info [ "shard-runs" ] ~docv:"N"
-          ~doc:"Runs per leased shard (with $(b,--coordinator)).")
+          ~doc:
+            "Runs per leased shard (default: 4 or $(b,--jobs), whichever \
+             is larger).  The in-process worker runs one shard per turn, \
+             so a $(b,kill -9) loses at most one shard of work.  Each \
+             campaign's partition is journaled, so a restart with another \
+             value keeps it.")
   in
   let lease_ms_arg =
     Arg.(
@@ -1634,26 +1645,30 @@ let serve_cmd =
       & opt int Perple_service.Coordinator.default_config.lease_ticks
       & info [ "lease-ms" ] ~docv:"MS"
           ~doc:
-            "Lease renewal deadline in milliseconds (with \
-             $(b,--coordinator)): a worker silent for $(docv) ms loses its \
-             shard.")
+            "Lease renewal deadline in milliseconds: a worker silent for \
+             $(docv) ms loses its shard.")
   in
-  let run socket tcp jobs journal coordinator shard_runs lease_ms trace
+  let run socket tcp jobs journal _coordinator shard_runs lease_ms trace
       metrics =
+    let shard_runs =
+      Option.value shard_runs
+        ~default:
+          (max Perple_service.Coordinator.default_config.shard_runs jobs)
+    in
     if jobs <= 0 then fail "--jobs must be positive"
     else if shard_runs <= 0 then fail "--shard-runs must be positive"
     else if lease_ms <= 0 then fail "--lease-ms must be positive"
     else begin
-      Printf.eprintf "perpled: listening on %s%s, %d job%s%s%s\n%!" socket
+      Printf.eprintf
+        "perpled: listening on %s%s, %d job%s, coordinating %d-run shards \
+         under %d ms leases%s\n%!"
+        socket
         (match tcp with
         | None -> ""
         | Some p -> Printf.sprintf " and tcp 127.0.0.1:%d" p)
         jobs
         (if jobs = 1 then "" else "s")
-        (if coordinator then
-           Printf.sprintf ", coordinating %d-run shards under %d ms leases"
-             shard_runs lease_ms
-         else "")
+        shard_runs lease_ms
         (match journal with
         | None -> " (no journal: campaigns are lost on restart)"
         | Some path ->
@@ -1661,18 +1676,15 @@ let serve_cmd =
             Printf.sprintf ", resuming journal %s" path
           else Printf.sprintf ", journal %s" path);
       let coordinator =
-        if coordinator then
-          Some
-            {
-              Perple_service.Coordinator.default_config with
-              shard_runs;
-              lease_ticks = lease_ms;
-            }
-        else None
+        {
+          Perple_service.Coordinator.default_config with
+          shard_runs;
+          lease_ticks = lease_ms;
+        }
       in
       match
         with_observability ~trace ~metrics @@ fun () ->
-        Perple_service.Server.serve ~socket ?tcp_port:tcp ~jobs ?coordinator
+        Perple_service.Server.serve ~socket ?tcp_port:tcp ~jobs ~coordinator
           ~journal ()
       with
       | Error m -> Error m
@@ -1741,8 +1753,7 @@ let submit_cmd =
       & info [ "follow" ]
           ~doc:
             "Print live campaign progress to stderr as the daemon streams \
-             it (runs done, and shard counts under a $(b,--coordinator) \
-             daemon).")
+             it (runs done and shard counts).")
   in
   let run campaign spec socket iterations seed runs counter model retries
       follow =
@@ -1874,8 +1885,7 @@ let worker_cmd =
   Cmd.v
     (Cmd.info "worker"
        ~doc:
-         "Execute leased campaign shards for a $(b,perple serve \
-          --coordinator) daemon.  Runs are computed with the same engine \
+         "Execute leased campaign shards for a $(b,perple serve) daemon.  Runs are computed with the same engine \
           and pre-split seeds as a local campaign, so the coordinator's \
           merged ledger is byte-identical to a single-node run; on \
           disconnect the worker reconnects with backed-off sleeps and any \

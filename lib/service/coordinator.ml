@@ -1,11 +1,13 @@
-(* Lease-based sharding of campaigns over remote workers.
+(* Lease-based sharding of campaigns over workers: remote ones, and
+   the daemon's in-process worker while no remote one is connected.
 
    Sans-IO, like Session: the server core feeds it worker events and a
    clock, and reads back (worker, frame) commands to deliver.  All
-   shard/lease state is derived from the scheduler's journal — lease
-   grants, revocations and abandoned shards are journaled as "extras"
-   (see Scheduler), so a kill -9'd coordinator resumes with monotonic
-   lease epochs and byte-identical output.
+   shard/lease state is derived from the scheduler's journal — shard
+   partitions, lease grants, revocations and abandoned shards are
+   journaled as "extras" (see Scheduler), so a kill -9'd coordinator
+   resumes with the same shards, monotonic lease epochs and
+   byte-identical output.
 
    The safety argument, in one place:
 
@@ -61,7 +63,10 @@ type t = {
   config : config;
   scheduler : Scheduler.t;
   campaigns : (string, campaign) Hashtbl.t;
-  workers : (int, string) Hashtbl.t;  (** Connection id -> worker name. *)
+  workers : (int, string) Hashtbl.t;
+      (** Remote connection id -> worker name.  The in-process worker is
+          not in here: it is {!local_worker}, and it only leases while
+          this table is empty. *)
   busy : (int, string * int) Hashtbl.t;  (** Worker -> its lease. *)
   cooling : (int, int) Hashtbl.t;
       (** Workers that missed a deadline: no new lease until they show
@@ -72,38 +77,46 @@ type t = {
 
 type command = { target : int; frame : Wire.frame }
 
+type grant = {
+  campaign : string;
+  shard : int;
+  epoch : int;
+  lo : int;
+  hi : int;
+  spec : Wire.spec;
+  resolved : Scheduler.resolved;
+}
+
+(* Connection ids are non-negative, so this never names a socket. *)
+let local_worker = -1
+let local_name = "local"
+
 let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
 
 (* --- journal records -------------------------------------------------------- *)
 
-let lease_record ~campaign ~shard ~epoch ~worker =
+(* Every coordinator record names a campaign; shards are named by index
+   within the campaign's journaled partition. *)
+let record kind ~campaign fields =
   Json.Obj
-    [
-      ("kind", Json.String "lease");
-      ("campaign", Json.String campaign);
-      ("shard", Json.Int shard);
-      ("epoch", Json.Int epoch);
-      ("worker", Json.String worker);
-    ]
+    (("kind", Json.String kind) :: ("campaign", Json.String campaign) :: fields)
+
+let partition_record ~campaign ~shard_runs =
+  record "partition" ~campaign [ ("shard_runs", Json.Int shard_runs) ]
+
+let lease_record ~campaign ~shard ~epoch ~worker =
+  record "lease" ~campaign
+    [ ("shard", Json.Int shard); ("epoch", Json.Int epoch);
+      ("worker", Json.String worker) ]
 
 let revoke_record ~campaign ~shard ~epoch ~reason =
-  Json.Obj
-    [
-      ("kind", Json.String "revoke");
-      ("campaign", Json.String campaign);
-      ("shard", Json.Int shard);
-      ("epoch", Json.Int epoch);
-      ("reason", Json.String reason);
-    ]
+  record "revoke" ~campaign
+    [ ("shard", Json.Int shard); ("epoch", Json.Int epoch);
+      ("reason", Json.String reason) ]
 
 let dead_record ~campaign ~shard ~reason =
-  Json.Obj
-    [
-      ("kind", Json.String "shard-dead");
-      ("campaign", Json.String campaign);
-      ("shard", Json.Int shard);
-      ("reason", Json.String reason);
-    ]
+  record "shard-dead" ~campaign
+    [ ("shard", Json.Int shard); ("reason", Json.String reason) ]
 
 let str_field name j =
   match Json.member name j with
@@ -148,9 +161,9 @@ let unrecoverable_entry ~index ~seed ~reason =
 
 let complete_dead t camp sh ~reason =
   sh.s_state <- Dead;
-  match Scheduler.seeds_of t.scheduler ~campaign:camp.c_id with
+  match Scheduler.resolved_of t.scheduler ~campaign:camp.c_id with
   | None -> ()
-  | Some seeds ->
+  | Some { Scheduler.r_seeds = seeds; _ } ->
     for i = sh.s_lo to sh.s_hi - 1 do
       if Scheduler.record t.scheduler ~campaign:camp.c_id ~index:i = None then begin
         let entry = unrecoverable_entry ~index:i ~seed:seeds.(i) ~reason in
@@ -212,11 +225,10 @@ let revoke_blameless t camp sh ~epoch ~reason =
 
 (* --- campaign discovery ----------------------------------------------------- *)
 
-let shards_for t id =
+let shards_for t id ~per =
   match Scheduler.runs t.scheduler ~campaign:id with
   | None -> [||]
   | Some total ->
-    let per = t.config.shard_runs in
     let count = (total + per - 1) / per in
     Array.init count (fun k ->
         let lo = k * per in
@@ -237,11 +249,21 @@ let shards_for t id =
           s_delay = t.config.retry_delay;
         })
 
+let add_campaign t id ~per =
+  Hashtbl.replace t.campaigns id { c_id = id; c_shards = shards_for t id ~per }
+
+(* Journal records name shards by index, so a campaign's partition is
+   pinned in the journal before any lease can name one of its shards;
+   a later [--shard-runs] or [--jobs] then cannot re-cut it. *)
 let sync_campaigns t =
   List.iter
     (fun id ->
-      if not (Hashtbl.mem t.campaigns id) then
-        Hashtbl.replace t.campaigns id { c_id = id; c_shards = shards_for t id })
+      if not (Hashtbl.mem t.campaigns id) then begin
+        let per = t.config.shard_runs in
+        Scheduler.append_extra t.scheduler
+          (partition_record ~campaign:id ~shard_runs:per);
+        add_campaign t id ~per
+      end)
     (Scheduler.campaign_ids t.scheduler)
 
 let find_shard t campaign shard =
@@ -253,9 +275,24 @@ let find_shard t campaign shard =
 
 (* --- construction / resume -------------------------------------------------- *)
 
+let pin_partition t j =
+  let ( let* ) = Result.bind in
+  let* campaign = str_field "campaign" j in
+  let* per = int_field "shard_runs" j in
+  if per < 1 then fail "journal: partition of %S into %d-run shards" campaign per
+  else if Scheduler.runs t.scheduler ~campaign = None then
+    fail "journal: partition for unknown campaign %S" campaign
+  else if Hashtbl.mem t.campaigns campaign then
+    fail "journal: second partition for campaign %S" campaign
+  else begin
+    add_campaign t campaign ~per;
+    Ok ()
+  end
+
 let apply_extra t j =
   let ( let* ) = Result.bind in
   match Ledger.kind j with
+  | Some "partition" -> Ok () (* applied before every other record *)
   | Some "lease" ->
     let* campaign = str_field "campaign" j in
     let* shard = int_field "shard" j in
@@ -309,13 +346,21 @@ let create ?(config = default_config) ~scheduler () =
       rr = 0;
     }
   in
-  sync_campaigns t;
-  let rec apply = function
-    | [] -> Ok t
-    | j :: rest -> (
-      match apply_extra t j with Error _ as e -> e | Ok () -> apply rest)
+  let rec apply f = function
+    | [] -> Ok ()
+    | j :: rest -> ( match f t j with Error _ as e -> e | Ok () -> apply f rest)
   in
-  apply (Scheduler.extras scheduler)
+  let extras = Scheduler.extras scheduler in
+  let ( let* ) = Result.bind in
+  (* Pinned partitions first; campaigns from journals that predate
+     pinning are cut with the current [shard_runs], and pinned now. *)
+  let* () =
+    apply pin_partition
+      (List.filter (fun j -> Ledger.kind j = Some "partition") extras)
+  in
+  sync_campaigns t;
+  let* () = apply apply_extra extras in
+  Ok t
 
 (* --- workers ---------------------------------------------------------------- *)
 
@@ -347,120 +392,120 @@ let thaw t worker = Hashtbl.remove t.cooling worker
 
 (* --- worker events ---------------------------------------------------------- *)
 
-let stale_lease ~target ~campaign ~shard ~epoch =
-  [ { target; frame = Wire.Revoke { campaign; shard; epoch; reason = "stale lease" } } ]
+let revoke ~target ~campaign ~shard ~epoch reason =
+  { target; frame = Wire.Revoke { campaign; shard; epoch; reason } }
+
+(* The shard, if (worker, campaign, shard, epoch) names its live lease;
+   anything else is a zombie or a duplicate. *)
+let live_lease t ~worker ~campaign ~shard ~epoch =
+  match find_shard t campaign shard with
+  | Some (camp, ({ s_state = Leased l; _ } as sh))
+    when l.l_worker = worker && l.l_epoch = epoch ->
+    Some (camp, sh, l)
+  | _ -> None
 
 let renew t ~worker ~campaign ~shard ~epoch ~now =
   thaw t worker;
-  match find_shard t campaign shard with
-  | Some (_, sh) -> (
-    match sh.s_state with
-    | Leased l when l.l_worker = worker && l.l_epoch = epoch ->
-      l.l_deadline <- now + t.config.lease_ticks;
-      []
-    | _ ->
-      Metrics.incr "coordinator.stale_renewals";
-      stale_lease ~target:worker ~campaign ~shard ~epoch)
+  match live_lease t ~worker ~campaign ~shard ~epoch with
+  | Some (_, _, l) ->
+    l.l_deadline <- now + t.config.lease_ticks;
+    []
   | None ->
     Metrics.incr "coordinator.stale_renewals";
-    stale_lease ~target:worker ~campaign ~shard ~epoch
+    [ revoke ~target:worker ~campaign ~shard ~epoch "stale lease" ]
 
 let shard_result t ~worker ~campaign ~shard ~epoch ~records ~now =
   thaw t worker;
-  match find_shard t campaign shard with
+  match live_lease t ~worker ~campaign ~shard ~epoch with
   | None ->
+    (* The worker is a zombie (its lease was revoked and possibly
+       re-assigned) or the frame is a duplicate.  Either way the records
+       are already covered — by the replacement lease or by the Done
+       shard — so the result is discarded without side effects. *)
     Metrics.incr "coordinator.zombie_results_discarded";
     []
-  | Some (camp, sh) -> (
-    match sh.s_state with
-    | Leased l when l.l_worker = worker && l.l_epoch = epoch ->
-      let reject reason =
-        Metrics.incr "coordinator.bad_results";
-        release t camp sh ~now ~epoch ~reason;
-        [ { target = worker; frame = Wire.Revoke { campaign; shard; epoch; reason } } ]
-      in
-      let expected = List.init (sh.s_hi - sh.s_lo) (fun k -> sh.s_lo + k) in
-      if List.map fst records <> expected then
-        reject "malformed shard result: wrong run indices"
-      else begin
-        let rec ingest = function
-          | [] ->
-            Hashtbl.remove t.busy worker;
-            sh.s_state <- Done;
-            Metrics.incr "coordinator.shards_completed";
-            []
-          | (_, line) :: rest -> (
-            match Scheduler.record_external t.scheduler ~campaign ~line with
-            | Ok _ -> ingest rest
-            | Error m -> reject (Printf.sprintf "bad shard result: %s" m))
-        in
-        ingest records
-      end
-    | _ ->
-      (* A result for a lease that is no longer live: the worker is a
-         zombie (its lease was revoked and possibly re-assigned) or the
-         frame is a duplicate.  Either way the records are already
-         covered — by the replacement lease or by the Done shard — so
-         the result is discarded without side effects. *)
-      Metrics.incr "coordinator.zombie_results_discarded";
-      [])
+  | Some (camp, sh, _) ->
+    let reject reason =
+      Metrics.incr "coordinator.bad_results";
+      release t camp sh ~now ~epoch ~reason;
+      [ revoke ~target:worker ~campaign ~shard ~epoch reason ]
+    in
+    let expected = List.init (sh.s_hi - sh.s_lo) (fun k -> sh.s_lo + k) in
+    let rec ingest = function
+      | [] ->
+        Hashtbl.remove t.busy worker;
+        sh.s_state <- Done;
+        Metrics.incr "coordinator.shards_completed";
+        []
+      | (_, line) :: rest -> (
+        match Scheduler.record_external t.scheduler ~campaign ~line with
+        | Ok _ -> ingest rest
+        | Error m -> reject (Printf.sprintf "bad shard result: %s" m))
+    in
+    if List.map fst records <> expected then
+      reject "malformed shard result: wrong run indices"
+    else ingest records
 
 let shard_failed t ~worker ~campaign ~shard ~epoch ~reason ~now =
   thaw t worker;
-  match find_shard t campaign shard with
+  match live_lease t ~worker ~campaign ~shard ~epoch with
   | None ->
     Metrics.incr "coordinator.stale_faults";
     []
-  | Some (camp, sh) -> (
-    match sh.s_state with
-    | Leased l when l.l_worker = worker && l.l_epoch = epoch ->
-      Metrics.incr "coordinator.shard_faults";
-      Hashtbl.remove t.busy worker;
-      release t camp sh ~now ~epoch
-        ~reason:(Printf.sprintf "worker fault: %s" reason);
-      []
-    | _ ->
-      Metrics.incr "coordinator.stale_faults";
-      [])
+  | Some (camp, sh, _) ->
+    Metrics.incr "coordinator.shard_faults";
+    release t camp sh ~now ~epoch
+      ~reason:(Printf.sprintf "worker fault: %s" reason);
+    []
 
 (* --- clock ------------------------------------------------------------------ *)
 
-let campaign_runnable t id =
-  (not (Scheduler.is_cancelled t.scheduler ~campaign:id))
-  && Scheduler.failed t.scheduler ~campaign:id = None
+(* Grant the next eligible shard to [worker]: campaigns round-robin
+   from the cursor (the fair interleave), shards in index order once
+   their backoff has passed.  The grant is journaled before anyone can
+   act on it. *)
+let grant_next t ~worker ~name ~now =
+  let s = t.scheduler in
+  let order = Array.of_list (Scheduler.campaign_ids s) in
+  let n = Array.length order in
+  let eligible sh = sh.s_state = Unassigned && sh.s_eligible_at <= now in
+  let rec scan off =
+    if off >= n then None
+    else
+      let idx = (t.rr + off) mod n in
+      let campaign = order.(idx) in
+      let next =
+        if Scheduler.is_cancelled s ~campaign then None
+        else
+          Option.bind (Hashtbl.find_opt t.campaigns campaign) (fun camp ->
+              Array.find_opt eligible camp.c_shards)
+      in
+      match
+        (next, Scheduler.spec_of s ~campaign, Scheduler.resolved_of s ~campaign)
+      with
+      | Some sh, Some spec, Some resolved ->
+        t.rr <- (idx + 1) mod n;
+        let epoch = sh.s_epoch + 1 in
+        sh.s_epoch <- epoch;
+        sh.s_state <-
+          Leased
+            { l_worker = worker; l_epoch = epoch;
+              l_deadline = now + t.config.lease_ticks };
+        Hashtbl.replace t.busy worker (campaign, sh.s_index);
+        Scheduler.append_extra s
+          (lease_record ~campaign ~shard:sh.s_index ~epoch ~worker:name);
+        Metrics.incr "coordinator.leases_granted";
+        Some
+          { campaign; shard = sh.s_index; epoch; lo = sh.s_lo; hi = sh.s_hi;
+            spec; resolved }
+      | _ -> scan (off + 1)
+  in
+  scan 0
 
-let grant t camp sh ~worker ~now =
-  let epoch = sh.s_epoch + 1 in
-  sh.s_epoch <- epoch;
-  sh.s_state <-
-    Leased { l_worker = worker; l_epoch = epoch; l_deadline = now + t.config.lease_ticks };
-  Hashtbl.replace t.busy worker (camp.c_id, sh.s_index);
-  let name = Option.value (Hashtbl.find_opt t.workers worker) ~default:"?" in
-  Scheduler.append_extra t.scheduler
-    (lease_record ~campaign:camp.c_id ~shard:sh.s_index ~epoch ~worker:name);
-  Metrics.incr "coordinator.leases_granted";
-  match
-    ( Scheduler.spec_of t.scheduler ~campaign:camp.c_id,
-      Scheduler.digest_of t.scheduler ~campaign:camp.c_id )
-  with
-  | Some spec, Some digest ->
-    Some
-      {
-        target = worker;
-        frame =
-          Wire.Lease
-            {
-              campaign = camp.c_id;
-              digest;
-              shard = sh.s_index;
-              epoch;
-              lo = sh.s_lo;
-              hi = sh.s_hi;
-              lease_ticks = t.config.lease_ticks;
-              spec;
-            };
-      }
-  | _ -> None (* cannot happen: the campaign came from the scheduler *)
+let lease_local t ~now =
+  sync_campaigns t;
+  if Hashtbl.length t.workers > 0 then None
+  else grant_next t ~worker:local_worker ~name:local_name ~now
 
 let tick t ~now =
   sync_campaigns t;
@@ -475,20 +520,14 @@ let tick t ~now =
         let cancelled = Scheduler.is_cancelled t.scheduler ~campaign:id in
         Array.iter
           (fun sh ->
+            let revoke_lease l reason =
+              push
+                (revoke ~target:l.l_worker ~campaign:id ~shard:sh.s_index
+                   ~epoch:l.l_epoch reason)
+            in
             match sh.s_state with
             | Leased l when cancelled ->
-              push
-                {
-                  target = l.l_worker;
-                  frame =
-                    Wire.Revoke
-                      {
-                        campaign = id;
-                        shard = sh.s_index;
-                        epoch = l.l_epoch;
-                        reason = "campaign cancelled";
-                      };
-                };
+              revoke_lease l "campaign cancelled";
               revoke_blameless t camp sh ~epoch:l.l_epoch
                 ~reason:"campaign cancelled"
             | Leased l when l.l_deadline <= now ->
@@ -496,18 +535,7 @@ let tick t ~now =
               (* The worker stays connected but has proven slow: no new
                  lease until it speaks again. *)
               Hashtbl.replace t.cooling l.l_worker (now + t.config.lease_ticks);
-              push
-                {
-                  target = l.l_worker;
-                  frame =
-                    Wire.Revoke
-                      {
-                        campaign = id;
-                        shard = sh.s_index;
-                        epoch = l.l_epoch;
-                        reason = "lease deadline missed";
-                      };
-                };
+              revoke_lease l "lease deadline missed";
               release t camp sh ~now ~epoch:l.l_epoch
                 ~reason:"lease deadline missed"
             | _ -> ())
@@ -527,31 +555,18 @@ let tick t ~now =
       t.workers []
     |> List.sort compare
   in
-  let order = Array.of_list (Scheduler.campaign_ids t.scheduler) in
-  let n = Array.length order in
   let assign worker =
-    let rec scan off =
-      if off >= n then ()
-      else
-        let idx = (t.rr + off) mod n in
-        let id = order.(idx) in
-        if not (campaign_runnable t id) then scan (off + 1)
-        else
-          match Hashtbl.find_opt t.campaigns id with
-          | None -> scan (off + 1)
-          | Some camp -> (
-            let eligible sh =
-              sh.s_state = Unassigned && sh.s_eligible_at <= now
-            in
-            match Array.find_opt eligible camp.c_shards with
-            | None -> scan (off + 1)
-            | Some sh -> (
-              t.rr <- (idx + 1) mod n;
-              match grant t camp sh ~worker ~now with
-              | Some c -> push c
-              | None -> ()))
-    in
-    if n > 0 then scan 0
+    match grant_next t ~worker ~name:(Hashtbl.find t.workers worker) ~now with
+    | None -> ()
+    | Some { campaign; shard; epoch; lo; hi; spec; resolved } ->
+      let digest = resolved.Scheduler.r_digest in
+      let lease_ticks = t.config.lease_ticks in
+      push
+        {
+          target = worker;
+          frame =
+            Wire.Lease { campaign; digest; shard; epoch; lo; hi; lease_ticks; spec };
+        }
   in
   List.iter assign idle;
   List.rev !commands

@@ -1,11 +1,16 @@
-(** Fault-tolerant campaign sharding: leased work units over remote
-    workers, with journaled reassignment.
+(** Fault-tolerant campaign sharding: leased work units over workers,
+    with journaled reassignment.  Every campaign the daemon runs goes
+    through here.
 
     The coordinator splits every accepted campaign into shards of
-    [shard_runs] consecutive run indices and hands them to connected
-    workers as {e leases}: a lease names the shard's run range, the
-    campaign spec (so the worker can execute the runs locally against
-    the same pre-split seeds) and a {e lease epoch}.  The worker renews
+    [shard_runs] consecutive run indices — the partition is journaled
+    once per campaign, so a restart with a different [shard_runs] keeps
+    it — and hands them to workers as {e leases}: a lease names the
+    shard's run range, the campaign spec (so the worker can execute the
+    runs against the same pre-split seeds) and a {e lease epoch}.
+    Remote workers get leases from {!tick}; the daemon's in-process
+    worker gets them from {!lease_local}, only while no remote worker is
+    connected.  The worker renews
     the lease ({!Wire.frame.Lease_renew}) while it computes; a lease
     that is not renewed within [lease_ticks] is revoked and its shard
     reassigned.
@@ -36,8 +41,8 @@
     {!Scheduler.record_external}, so even a pathological duplicate can
     only ever re-assert identical bytes.
 
-    Everything is journaled through the scheduler ("lease", "revoke",
-    "shard-dead" extras plus ordinary "crun" records), so a [kill -9]'d
+    Everything is journaled through the scheduler ("partition", "lease",
+    "revoke", "shard-dead" extras plus ordinary "crun" records), so a [kill -9]'d
     coordinator re-created over the same journal resumes with the same
     epochs and produces a byte-identical merged ledger and metrics —
     for any worker count, failure schedule or kill point. *)
@@ -58,7 +63,9 @@ type t
 
 val create : ?config:config -> scheduler:Scheduler.t -> unit -> (t, string) result
 (** Build the shard tables for every campaign the scheduler knows and
-    replay the journal's coordinator extras: lease epochs resume
+    replay the journal's coordinator extras: journaled partitions are
+    kept (campaigns without one, from older journals, are cut with
+    [config.shard_runs] and pinned now), lease epochs resume
     monotonic, abandoned shards stay abandoned (missing [Unrecoverable]
     records are re-derived), completed shards are recognized by their
     journaled runs.  [Error] on a malformed coordinator record —
@@ -75,6 +82,7 @@ val remove_worker : t -> id:int -> now:int -> unit
     its lease, if any, is revoked and the shard reassigned. *)
 
 val worker_count : t -> int
+(** Connected remote workers; the in-process worker is not counted. *)
 
 val renew : t ->
   worker:int -> campaign:string -> shard:int -> epoch:int -> now:int ->
@@ -99,8 +107,30 @@ val shard_failed : t ->
 val tick : t -> now:int -> command list
 (** Clock advance: pick up newly accepted campaigns, revoke leases of
     cancelled campaigns and leases past their deadline, then grant new
-    leases — idle workers in id order, campaigns round-robin (the fair
-    interleave), shards in index order once their backoff has passed. *)
+    leases to idle remote workers in id order — campaigns round-robin
+    (the fair interleave), shards in index order once their backoff has
+    passed. *)
+
+type grant = {
+  campaign : string;
+  shard : int;
+  epoch : int;
+  lo : int;
+  hi : int;  (** Run-index range [lo, hi). *)
+  spec : Wire.spec;
+  resolved : Scheduler.resolved;  (** What the worker needs to run it. *)
+}
+
+val local_worker : int
+(** The worker id under which the in-process worker reports its shards
+    to {!shard_result} / {!shard_failed}. *)
+
+val lease_local : t -> now:int -> grant option
+(** The in-process worker's turn: while no remote worker is connected,
+    grant it the next shard by the same rule as {!tick}, journaled as a
+    ["lease"] to worker ["local"].  The caller runs the shard and
+    reports back before its next turn; [None] when there is nothing to
+    do or a remote worker is connected. *)
 
 val shard_counts : t -> campaign:string -> int * int * int
 (** (completed, leased, abandoned) shard counts, for progress frames. *)

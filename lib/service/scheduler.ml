@@ -1,15 +1,16 @@
-(* Campaign scheduler: journal-backed multiplexing of submitted specs
-   over the campaign engine.
+(* Campaign scheduler: the journal-backed record store behind the
+   daemon.  It validates and journals specs and ingests run records;
+   the coordinator decides who computes which runs.
 
    Record kinds in a serve journal (after the standard header):
      {"kind":"spec", ...}     an accepted campaign, in submit order
      {"kind":"crun","campaign":C,"run":{...}}   one completed run
      {"kind":"cancel","campaign":C}
      {"kind":"draining"} / {"kind":"interrupted"}   shutdown markers
-     {"kind":"lease"|"revoke"|"shard-dead", ...}   coordinator extras,
-       opaque here: preserved through replay and compaction in order and
-       handed back to [Perple_service.Coordinator] for lease-epoch
-       recovery.
+     {"kind":"partition"|"lease"|"revoke"|"shard-dead", ...}
+       coordinator extras, opaque here: preserved through replay and
+       compaction in order and handed back to [Perple_service.Coordinator]
+       to rebuild shard partitions and lease epochs.
 
    Specs are journaled before they are acknowledged and runs before they
    are streamed, so every byte a client ever saw is reconstructible from
@@ -18,7 +19,6 @@
 module Json = Perple_util.Json
 module Journal = Perple_util.Journal
 module Metrics = Perple_util.Metrics
-module Trace = Perple_util.Trace_event
 module Ast = Perple_litmus.Ast
 module Parser = Perple_litmus.Parser
 module Printer = Perple_litmus.Printer
@@ -28,32 +28,30 @@ module Engine = Perple_core.Engine
 module Ledger = Perple_core.Ledger
 module Convert = Perple_core.Convert
 
+type resolved = {
+  r_digest : string;
+  r_test : Ast.t;
+  r_counter : Engine.counter;
+  r_model : Config.model;
+  r_seeds : int array;
+}
+
 type campaign = {
   spec : Wire.spec;
-  digest : string;
-  test : Ast.t;
-  counter : Engine.counter;
-  model : Config.model;
-  seeds : int array;
+  resolved : resolved;
   records : string option array;
   mutable done_count : int;
   mutable cancelled : bool;
-  mutable failure : string option;
 }
 
 type t = {
   jobs : int;
   pool : Perple_core.Pool.t option;
-      (** Persistent worker pool, reused across step batches and across
-          campaigns; [None] when [jobs = 1] (sequential). *)
-  journal_path : string option;
+      (** Persistent pool for the daemon's in-process worker, reused
+          across shards and campaigns; [None] when [jobs = 1]. *)
   mutable journal : Journal.t option;
   campaigns : (string, campaign) Hashtbl.t;
   mutable order : string list;  (** Submit order, oldest first. *)
-  mutable rr : int;
-      (** Round-robin cursor into [order]: the next campaign {!step}
-          serves, so active campaigns interleave instead of starving
-          behind the oldest one. *)
   mutable extras : Json.t list;  (** Coordinator records, reversed. *)
 }
 
@@ -95,62 +93,67 @@ let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
    engine will assume later is checked up front, so a rejected spec
    costs one error frame, never a daemon crash mid-campaign. *)
 let resolve (spec : Wire.spec) =
-  if spec.Wire.campaign = "" then fail "campaign id must be non-empty"
-  else if String.length spec.Wire.campaign > 256 then
-    fail "campaign id longer than 256 bytes"
-  else if spec.Wire.runs < 1 then fail "runs must be positive"
-  else if spec.Wire.iterations < 1 then fail "iterations must be positive"
-  else if spec.Wire.seed < 0 then fail "seed must be non-negative"
-  else
-    match counter_of_name spec.Wire.counter with
-    | None -> fail "unknown counter %S (heur, exh or exh-ref)" spec.Wire.counter
-    | Some counter -> (
-      match model_of_name spec.Wire.model with
-      | None -> fail "unknown model %S" spec.Wire.model
-      | Some model -> (
-        match resolve_test spec.Wire.test with
-        | Error m -> Error m
-        | Ok test -> (
-          match Convert.convert test with
-          | Error r ->
-            fail "test %s is not convertible: %s" test.Ast.name
-              (Format.asprintf "%a" Convert.pp_reason r)
-          | Ok _ -> (
-            match Perple_litmus.Outcome.of_condition test with
-            | Error m -> fail "test %s has no countable target: %s" test.Ast.name m
-            | Ok _ ->
-              let digest =
-                Ledger.digest_of_params
-                  [
-                    ("command", "serve-campaign");
-                    ( "test",
-                      Digest.to_hex (Digest.string (Printer.to_string test)) );
-                    ("iterations", string_of_int spec.Wire.iterations);
-                    ("seed", string_of_int spec.Wire.seed);
-                    ("counter", Engine.(
-                       match counter with
-                       | Heuristic -> "heur"
-                       | Exhaustive -> "exh"
-                       | Exhaustive_reference -> "exh-ref"));
-                    ("model", Config.model_name model);
-                    ("runs", string_of_int spec.Wire.runs);
-                  ]
-              in
-              Ok
-                {
-                  spec;
-                  digest;
-                  test;
-                  counter;
-                  model;
-                  seeds =
-                    Engine.campaign_seeds ~runs:spec.Wire.runs
-                      ~seed:spec.Wire.seed;
-                  records = Array.make spec.Wire.runs None;
-                  done_count = 0;
-                  cancelled = false;
-                  failure = None;
-                }))))
+  let ( let* ) = Result.bind in
+  let* () =
+    if spec.Wire.campaign = "" then fail "campaign id must be non-empty"
+    else if String.length spec.Wire.campaign > 256 then
+      fail "campaign id longer than 256 bytes"
+    else if spec.Wire.runs < 1 then fail "runs must be positive"
+    else if spec.Wire.iterations < 1 then fail "iterations must be positive"
+    else if spec.Wire.seed < 0 then fail "seed must be non-negative"
+    else Ok ()
+  in
+  let* counter =
+    Option.to_result
+      ~none:
+        (Printf.sprintf "unknown counter %S (heur, exh or exh-ref)"
+           spec.Wire.counter)
+      (counter_of_name spec.Wire.counter)
+  in
+  let* model =
+    Option.to_result
+      ~none:(Printf.sprintf "unknown model %S" spec.Wire.model)
+      (model_of_name spec.Wire.model)
+  in
+  let* test = resolve_test spec.Wire.test in
+  let* _ =
+    Result.map_error
+      (Format.asprintf "test %s is not convertible: %a" test.Ast.name
+         Convert.pp_reason)
+      (Convert.convert test)
+  in
+  let* _ =
+    Result.map_error
+      (Printf.sprintf "test %s has no countable target: %s" test.Ast.name)
+      (Perple_litmus.Outcome.of_condition test)
+  in
+  let digest =
+    Ledger.digest_of_params
+      [
+        ("command", "serve-campaign");
+        ("test", Digest.to_hex (Digest.string (Printer.to_string test)));
+        ("iterations", string_of_int spec.Wire.iterations);
+        ("seed", string_of_int spec.Wire.seed);
+        ("counter", Engine.(
+           match counter with
+           | Heuristic -> "heur"
+           | Exhaustive -> "exh"
+           | Exhaustive_reference -> "exh-ref"));
+        ("model", Config.model_name model);
+        ("runs", string_of_int spec.Wire.runs);
+      ]
+  in
+  let seeds = Engine.campaign_seeds ~runs:spec.Wire.runs ~seed:spec.Wire.seed in
+  Ok
+    {
+      spec;
+      resolved =
+        { r_digest = digest; r_test = test; r_counter = counter;
+          r_model = model; r_seeds = seeds };
+      records = Array.make spec.Wire.runs None;
+      done_count = 0;
+      cancelled = false;
+    }
 
 (* --- journal records ------------------------------------------------------- *)
 
@@ -211,6 +214,27 @@ let spec_of_record j =
 let append t record =
   match t.journal with None -> () | Some j -> Journal.append j record
 
+(* Validate a run against its campaign's pre-split and fill its slot:
+   [Ok false] if the identical canonical record is already there.  The
+   stored line is always re-serialized, so every stored line is the
+   canonical [Ledger.record_line] bytes, whatever a (buggy) worker sent;
+   the seed check means a record can never land in a foreign slot. *)
+let store c (summary : Ledger.t) =
+  let i = summary.Ledger.index in
+  if i < 0 || i >= Array.length c.records then fail "run index %d out of range" i
+  else if summary.Ledger.seed <> c.resolved.r_seeds.(i) then
+    fail "run %d was seeded with %d, the spec pre-splits %d" i
+      summary.Ledger.seed c.resolved.r_seeds.(i)
+  else
+    let line = Ledger.record_line summary in
+    match c.records.(i) with
+    | Some existing when String.equal existing line -> Ok false
+    | Some _ -> fail "run %d already has a conflicting record" i
+    | None ->
+      c.records.(i) <- Some line;
+      c.done_count <- c.done_count + 1;
+      Ok true
+
 let ingest_record t j =
   let ( let* ) = Result.bind in
   match Ledger.kind j with
@@ -232,10 +256,11 @@ let ingest_record t j =
     | Some c ->
       c.cancelled <- true;
       Ok ())
-  | Some ("lease" | "revoke" | "shard-dead") ->
-    (* Coordinator lease bookkeeping: semantically opaque here, but its
-       order and content must survive replay and compaction so lease
-       epochs stay monotonic across coordinator restarts. *)
+  | Some ("partition" | "lease" | "revoke" | "shard-dead") ->
+    (* Coordinator bookkeeping: semantically opaque here, but its order
+       and content must survive replay and compaction so shard
+       partitions stay pinned and lease epochs stay monotonic across
+       coordinator restarts. *)
     t.extras <- j :: t.extras;
     Ok ()
   | Some "crun" ->
@@ -247,20 +272,13 @@ let ingest_record t j =
       | None -> fail "journal: crun record without a run"
       | Some run_json ->
         let* summary = Ledger.of_json run_json in
-        let i = summary.Ledger.index in
-        if i < 0 || i >= Array.length c.records then
-          fail "journal: campaign %S run index %d out of range" campaign i
-        else if summary.Ledger.seed <> c.seeds.(i) then
-          fail
-            "journal: campaign %S run %d was seeded with %d, the spec \
-             pre-splits %d"
-            campaign i summary.Ledger.seed c.seeds.(i)
-        else begin
-          if c.records.(i) = None then c.done_count <- c.done_count + 1;
-          c.records.(i) <- Some (Ledger.record_line summary);
-          Metrics.incr "service.scheduler.resumed_runs";
-          Ok ()
-        end))
+        let* _ =
+          Result.map_error
+            (Printf.sprintf "journal: campaign %S: %s" campaign)
+            (store c summary)
+        in
+        Metrics.incr "service.scheduler.resumed_runs";
+        Ok ()))
   | Some k -> fail "journal: unexpected %S record" k
   | None -> fail "journal: record without a kind"
 
@@ -279,16 +297,11 @@ let compacted t =
   let cruns =
     List.concat_map
       (fun id ->
-        let c = Hashtbl.find t.campaigns id in
-        List.filter_map
-          (fun i ->
-            match c.records.(i) with
-            | None -> None
-            | Some line -> (
-              match Json.parse line with
-              | Ok run_json -> Some (crun_record id run_json)
-              | Error _ -> None (* cannot happen: we serialized it *)))
-          (List.init (Array.length c.records) Fun.id))
+        Array.to_list (Hashtbl.find t.campaigns id).records
+        |> List.filter_map
+             (Option.map (fun line ->
+                  (* Cannot fail: every stored line was serialized here. *)
+                  crun_record id (Result.get_ok (Json.parse line)))))
       t.order
   in
   (header_record :: specs) @ cancels @ cruns @ List.rev t.extras
@@ -299,11 +312,9 @@ let create ?(jobs = 1) ~journal () =
     {
       jobs;
       pool = None;
-      journal_path = journal;
       journal = None;
       campaigns = Hashtbl.create 8;
       order = [];
-      rr = 0;
       extras = [];
     }
   in
@@ -311,23 +322,24 @@ let create ?(jobs = 1) ~journal () =
      rejected resume never leaks parked domains. *)
   let finish t =
     (* Sized to the hardware, not to [jobs]: idle domains beyond the core
-       count only tax the GC (see Pool).  [jobs] still caps the batch
-       size per step. *)
+       count only tax the GC (see Pool).  [jobs] still caps how many
+       runs of a shard execute at once. *)
     let width = min jobs (Perple_core.Pool.available_domains ()) in
     Ok
       (if width > 1 then
          { t with pool = Some (Perple_core.Pool.create ~jobs:width ()) }
        else t)
   in
+  let start_over path =
+    let j = Journal.create path in
+    Journal.append j header_record;
+    t.journal <- Some j;
+    finish t
+  in
   match journal with
   | None -> finish t
   | Some path ->
-    if not (Sys.file_exists path) then begin
-      let j = Journal.create path in
-      Journal.append j header_record;
-      t.journal <- Some j;
-      finish t
-    end
+    if not (Sys.file_exists path) then start_over path
     else begin
       match Journal.load path with
       | Error m -> fail "journal %s: %s" path m
@@ -339,11 +351,8 @@ let create ?(jobs = 1) ~journal () =
             path recovery.Journal.dropped_bytes recovery.Journal.valid_bytes;
         match recovery.Journal.records with
         | [] ->
-          (* Created but crashed before the header was durable: start over. *)
-          let j = Journal.create path in
-          Journal.append j header_record;
-          t.journal <- Some j;
-          finish t
+          (* Created but crashed before the header was durable. *)
+          start_over path
         | header :: rest -> (
           match Ledger.parse_header header with
           | Error m -> fail "cannot resume: %s" m
@@ -353,52 +362,29 @@ let create ?(jobs = 1) ~journal () =
                 "cannot resume: journal %s was written by 'perple %s', not \
                  'perple serve'"
                 path h.Ledger.h_command
-            else begin
-              let rec ingest = function
-                | [] -> Ok ()
-                | r :: rest -> (
-                  match ingest_record t r with
-                  | Error _ as e -> e
-                  | Ok () -> ingest rest)
-              in
-              match ingest rest with
+            else
+              let ingest acc r = Result.bind acc (fun () -> ingest_record t r) in
+              match List.fold_left ingest (Ok ()) rest with
               | Error m -> fail "cannot resume: %s" m
               | Ok () ->
                 Journal.compact ~path (compacted t);
                 t.journal <- Some (Journal.open_append path);
-                finish t
-            end))
+                finish t))
     end
 
 (* --- queries --------------------------------------------------------------- *)
 
-type resolved = {
-  r_digest : string;
-  r_test : Ast.t;
-  r_counter : Engine.counter;
-  r_model : Config.model;
-  r_seeds : int array;
-}
+let resolve_spec spec = Result.map (fun c -> c.resolved) (resolve spec)
 
-let resolve_spec spec =
-  Result.map
-    (fun c ->
-      {
-        r_digest = c.digest;
-        r_test = c.test;
-        r_counter = c.counter;
-        r_model = c.model;
-        r_seeds = c.seeds;
-      })
-    (resolve spec)
+let jobs t = t.jobs
+let pool t = t.pool
 
 let find t campaign = Hashtbl.find_opt t.campaigns campaign
 
 let campaign_ids t = t.order
 
 let spec_of t ~campaign = Option.map (fun c -> c.spec) (find t campaign)
-let digest_of t ~campaign = Option.map (fun c -> c.digest) (find t campaign)
-let seeds_of t ~campaign = Option.map (fun c -> Array.copy c.seeds) (find t campaign)
+let resolved_of t ~campaign = Option.map (fun c -> c.resolved) (find t campaign)
 
 let runs t ~campaign =
   Option.map (fun c -> Array.length c.records) (find t campaign)
@@ -414,22 +400,12 @@ let is_complete t ~campaign =
   | None -> false
   | Some c -> (not c.cancelled) && c.done_count = Array.length c.records
 
-let failed t ~campaign =
-  match find t campaign with None -> None | Some c -> c.failure
-
 let record t ~campaign ~index =
   match find t campaign with
   | None -> None
   | Some c ->
     if index < 0 || index >= Array.length c.records then None
     else c.records.(index)
-
-let runnable c =
-  (not c.cancelled) && c.failure = None
-  && c.done_count < Array.length c.records
-
-let pending t =
-  List.exists (fun id -> runnable (Hashtbl.find t.campaigns id)) t.order
 
 (* --- submit / cancel ------------------------------------------------------- *)
 
@@ -441,18 +417,19 @@ let submit t spec =
   | Ok fresh -> (
     match find t spec.Wire.campaign with
     | Some existing ->
-      if existing.digest <> fresh.digest then
+      if existing.resolved.r_digest <> fresh.resolved.r_digest then
         fail
           "campaign %S already exists with a different configuration \
            (digest %s, submitted %s)"
-          spec.Wire.campaign existing.digest fresh.digest
+          spec.Wire.campaign existing.resolved.r_digest
+          fresh.resolved.r_digest
       else if existing.cancelled then
         fail "campaign %S was cancelled" spec.Wire.campaign
       else begin
         Metrics.incr "service.scheduler.resubmits";
         Ok
           {
-            digest = existing.digest;
+            digest = existing.resolved.r_digest;
             runs = Array.length existing.records;
             completed = existing.done_count;
           }
@@ -462,9 +439,14 @@ let submit t spec =
       Hashtbl.replace t.campaigns spec.Wire.campaign fresh;
       t.order <- t.order @ [ spec.Wire.campaign ];
       Metrics.incr "service.scheduler.campaigns_accepted";
-      Ok { digest = fresh.digest; runs = Array.length fresh.records; completed = 0 })
+      Ok
+        {
+          digest = fresh.resolved.r_digest;
+          runs = Array.length fresh.records;
+          completed = 0;
+        })
 
-(* --- remote results -------------------------------------------------------- *)
+(* --- run records ------------------------------------------------------------ *)
 
 let extras t = List.rev t.extras
 
@@ -472,12 +454,7 @@ let append_extra t j =
   append t j;
   t.extras <- j :: t.extras
 
-(* A worker-computed record is re-parsed and re-serialized before it is
-   journaled: the stream identity argument rests on every stored line
-   being the canonical [Ledger.record_line] bytes, whatever a (buggy)
-   worker actually sent.  Seed and index are checked against the
-   campaign's own pre-split, so a record can never land in a foreign
-   slot. *)
+(* Every run record enters here, whichever worker computed it. *)
 let record_external t ~campaign ~line =
   match find t campaign with
   | None -> fail "record for unknown campaign %S" campaign
@@ -487,25 +464,14 @@ let record_external t ~campaign ~line =
     | Ok run_json -> (
       match Ledger.of_json run_json with
       | Error m -> fail "record invalid: %s" m
-      | Ok summary ->
-        let i = summary.Ledger.index in
-        if i < 0 || i >= Array.length c.records then
-          fail "run index %d out of range for campaign %S" i campaign
-        else if summary.Ledger.seed <> c.seeds.(i) then
-          fail "run %d was seeded with %d, the spec pre-splits %d" i
-            summary.Ledger.seed c.seeds.(i)
-        else
-          let canonical = Ledger.record_line summary in
-          (match c.records.(i) with
-          | Some existing ->
-            if String.equal existing canonical then Ok `Duplicate
-            else fail "run %d already has a conflicting record" i
-          | None ->
-            append t (crun_record campaign (Ledger.to_json summary));
-            c.done_count <- c.done_count + 1;
-            c.records.(i) <- Some canonical;
-            Metrics.incr "service.scheduler.remote_runs";
-            Ok `Recorded)))
+      | Ok summary -> (
+        match store c summary with
+        | Error _ as e -> e
+        | Ok false -> Ok `Duplicate
+        | Ok true ->
+          append t (crun_record campaign (Ledger.to_json summary));
+          Metrics.incr "service.scheduler.runs_recorded";
+          Ok `Recorded)))
 
 let cancel t ~campaign =
   match find t campaign with
@@ -517,73 +483,6 @@ let cancel t ~campaign =
       Metrics.incr "service.scheduler.campaigns_cancelled"
     end;
     true
-
-(* --- execution ------------------------------------------------------------- *)
-
-let step t =
-  (* Fair selection: scan from the round-robin cursor, not from the
-     oldest campaign, so concurrent campaigns interleave batch for batch
-     instead of a long early submit starving everything behind it. *)
-  let order = Array.of_list t.order in
-  let n = Array.length order in
-  let rec pick off =
-    if off >= n then None
-    else
-      let idx = (t.rr + off) mod n in
-      if runnable (Hashtbl.find t.campaigns order.(idx)) then Some idx
-      else pick (off + 1)
-  in
-  match if n = 0 then None else pick 0 with
-  | None -> None
-  | Some idx ->
-    let id = order.(idx) in
-    t.rr <- (idx + 1) mod n;
-    let c = Hashtbl.find t.campaigns id in
-    let total = Array.length c.records in
-    (* The batch: the next [jobs] missing indices, in index order.  The
-       batch is what bounds how stale a kill -9 can make the journal. *)
-    let batch = ref [] in
-    let n = ref 0 in
-    let i = ref 0 in
-    while !n < t.jobs && !i < total do
-      if c.records.(!i) = None then begin
-        batch := !i :: !batch;
-        incr n
-      end;
-      incr i
-    done;
-    let batch = !batch in
-    let in_batch i = List.mem i batch in
-    let fresh = ref [] in
-    let on_entry entry =
-      let summary = Ledger.of_entry entry in
-      let line = Ledger.record_line summary in
-      append t (crun_record id (Ledger.to_json summary));
-      let idx = summary.Ledger.index in
-      if c.records.(idx) = None then c.done_count <- c.done_count + 1;
-      c.records.(idx) <- Some line;
-      fresh := (idx, line) :: !fresh;
-      Metrics.incr "service.scheduler.runs_executed"
-    in
-    Trace.span "service.scheduler.step"
-      ~args:[ ("campaign", Trace.String id); ("batch", Trace.Int (List.length batch)) ]
-      (fun () ->
-        match
-          Engine.campaign_entries
-            ~config:(Config.with_model c.model Config.default)
-            ~counter:c.counter ?pool:t.pool ~jobs:t.jobs
-            ~skip:(fun i -> not (in_batch i))
-            ~on_entry ~runs:total ~seed:c.spec.Wire.seed
-            ~iterations:c.spec.Wire.iterations c.test
-        with
-        | Ok _ -> ()
-        | Error reason ->
-          (* Cannot normally happen — convertibility was validated at
-             submit — but a campaign must fail closed, not wedge the
-             queue. *)
-          c.failure <-
-            Some (Format.asprintf "%a" Convert.pp_reason reason));
-    Some (id, List.sort compare !fresh)
 
 (* --- shutdown -------------------------------------------------------------- *)
 
@@ -610,20 +509,7 @@ let metrics_payload t ~campaign =
 
 let note_draining t = append t Ledger.draining_marker
 
-let close_journal t =
-  match t.journal with
-  | None -> ()
-  | Some j ->
-    t.journal <- None;
-    Journal.close j
-
-let shutdown_pool t =
-  match t.pool with None -> () | Some p -> Perple_core.Pool.shutdown p
-
-let abandon t =
-  close_journal t;
-  shutdown_pool t
-
 let close t =
-  close_journal t;
-  shutdown_pool t
+  Option.iter Journal.close t.journal;
+  t.journal <- None;
+  Option.iter Perple_core.Pool.shutdown t.pool

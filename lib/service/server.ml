@@ -31,15 +31,32 @@ type conn = {
 
 type t = {
   scheduler : Scheduler.t;
-  coordinator : Coordinator.t option;
+  coordinator : Coordinator.t;
   session_config : Session.config;
   conns : (int, conn) Hashtbl.t;
   mutable next_id : int;
   mutable draining : bool;
 }
 
+(* One in-process worker turn runs one shard on the [--jobs]-wide pool,
+   so a shard is never narrower than the pool. *)
+let default_coordinator_config ~jobs =
+  { Coordinator.default_config with
+    shard_runs = max Coordinator.default_config.shard_runs jobs }
+
 let create ?(session_config = Session.default_config) ?coordinator ~scheduler
     () =
+  let coordinator =
+    match coordinator with
+    | Some co -> co
+    | None -> (
+      let config =
+        default_coordinator_config ~jobs:(Scheduler.jobs scheduler)
+      in
+      match Coordinator.create ~config ~scheduler () with
+      | Ok co -> co
+      | Error m -> invalid_arg ("Server.create: " ^ m))
+  in
   {
     scheduler;
     coordinator;
@@ -73,41 +90,31 @@ let advance_sub t c sub =
           (Wire.Error { code = Wire.Cancelled; message = campaign });
         true
       end
-      else
-        match Scheduler.failed s ~campaign with
-        | Some m ->
-          Session.send_control c.session
-            (Wire.Error
-               { code = Wire.Internal;
-                 message = Printf.sprintf "campaign %s: %s" campaign m });
-          true
-        | None ->
-          if sub.cursor < runs then
-            match Scheduler.record s ~campaign ~index:sub.cursor with
-            | None -> false (* not executed yet *)
-            | Some line -> (
-              match
-                Session.send c.session
-                  (Wire.Run_record
-                     { campaign; index = sub.cursor; record = line })
-              with
-              | `Overflow -> false
-              | `Ok ->
-                sub.cursor <- sub.cursor + 1;
-                Metrics.incr "service.records_streamed";
-                push ())
-          else if not sub.metrics_sent then
-            match Scheduler.metrics_payload s ~campaign with
-            | None -> false
-            | Some payload -> (
-              match
-                Session.send c.session (Wire.Metrics_chunk { campaign; payload })
-              with
-              | `Overflow -> false
-              | `Ok ->
-                sub.metrics_sent <- true;
-                true)
-          else true
+      else if sub.cursor < runs then
+        match Scheduler.record s ~campaign ~index:sub.cursor with
+        | None -> false (* not executed yet *)
+        | Some line -> (
+          match
+            Session.send c.session
+              (Wire.Run_record { campaign; index = sub.cursor; record = line })
+          with
+          | `Overflow -> false
+          | `Ok ->
+            sub.cursor <- sub.cursor + 1;
+            Metrics.incr "service.records_streamed";
+            push ())
+      else if not sub.metrics_sent then
+        match Scheduler.metrics_payload s ~campaign with
+        | None -> false
+        | Some payload -> (
+          match
+            Session.send c.session (Wire.Metrics_chunk { campaign; payload })
+          with
+          | `Overflow -> false
+          | `Ok ->
+            sub.metrics_sent <- true;
+            true)
+      else true
     in
     push ()
 
@@ -120,9 +127,7 @@ let push_progress t c sub =
   | Some runs ->
     let runs_done = Scheduler.completed t.scheduler ~campaign:sub.campaign in
     let shards_done, shards_leased, shards_failed =
-      match t.coordinator with
-      | None -> (0, 0, 0)
-      | Some co -> Coordinator.shard_counts co ~campaign:sub.campaign
+      Coordinator.shard_counts t.coordinator ~campaign:sub.campaign
     in
     let key = (runs_done, shards_done, shards_leased, shards_failed) in
     if sub.last_progress <> Some key then
@@ -153,43 +158,25 @@ let dispatch t commands =
       | Some c -> Session.send_control c.session frame)
     commands
 
-let rec on_event t c ~now = function
+let on_event t c ~now =
+  let co = t.coordinator in
+  function
   | Session.Hello_received _ -> ()
-  | Session.Terminated _ -> (
+  | Session.Terminated _ ->
     (* Harmless for plain clients: the coordinator only knows worker
        ids, so this is a no-op unless a lease-holder just died. *)
-    match t.coordinator with
-    | Some co -> Coordinator.remove_worker co ~id:c.cid ~now
-    | None -> ())
-  | Session.Worker_joined name -> (
-    match t.coordinator with
-    | None ->
-      (* A worker dialled a plain daemon: classify and close — the
-         session already replied [Hello], so explain before EOF. *)
-      Session.send_control c.session
-        (Wire.Error
-           { code = Wire.Rejected; message = "daemon is not a coordinator" });
-      List.iter (on_event t c ~now) (Session.eof c.session ~now)
-    | Some co -> Coordinator.add_worker co ~id:c.cid ~name)
-  | Session.Lease_renewed { campaign; shard; epoch } -> (
-    match t.coordinator with
-    | None -> ()
-    | Some co ->
-      dispatch t (Coordinator.renew co ~worker:c.cid ~campaign ~shard ~epoch ~now))
-  | Session.Shard_done { campaign; shard; epoch; records } -> (
-    match t.coordinator with
-    | None -> ()
-    | Some co ->
-      dispatch t
-        (Coordinator.shard_result co ~worker:c.cid ~campaign ~shard ~epoch
-           ~records ~now))
-  | Session.Shard_faulted { campaign; shard; epoch; reason } -> (
-    match t.coordinator with
-    | None -> ()
-    | Some co ->
-      dispatch t
-        (Coordinator.shard_failed co ~worker:c.cid ~campaign ~shard ~epoch
-           ~reason ~now))
+    Coordinator.remove_worker co ~id:c.cid ~now
+  | Session.Worker_joined name -> Coordinator.add_worker co ~id:c.cid ~name
+  | Session.Lease_renewed { campaign; shard; epoch } ->
+    dispatch t (Coordinator.renew co ~worker:c.cid ~campaign ~shard ~epoch ~now)
+  | Session.Shard_done { campaign; shard; epoch; records } ->
+    dispatch t
+      (Coordinator.shard_result co ~worker:c.cid ~campaign ~shard ~epoch
+         ~records ~now)
+  | Session.Shard_faulted { campaign; shard; epoch; reason } ->
+    dispatch t
+      (Coordinator.shard_failed co ~worker:c.cid ~campaign ~shard ~epoch
+         ~reason ~now)
   | Session.Submitted spec ->
     if t.draining then
       Session.send_control c.session
@@ -249,22 +236,51 @@ let eof t ~conn:id ~now =
   | None -> ()
   | Some c -> List.iter (on_event t c ~now) (Session.eof c.session ~now)
 
+(* The in-process worker: while no remote worker is connected it leases
+   one shard per turn and runs it through the same execution function as
+   remote workers, on the daemon's pool.  Its records come back through
+   the same validation and journal path as theirs, so a campaign never
+   waits on a fleet that is not coming back. *)
+let local_turn t ~now =
+  match Coordinator.lease_local t.coordinator ~now with
+  | None -> ()
+  | Some { Coordinator.campaign; shard; epoch; lo; hi; spec; resolved } ->
+    let s = t.scheduler in
+    let result =
+      (* Named for the trace profiles that fold one span per turn. *)
+      Trace.span "service.scheduler.step"
+        ~args:[ ("campaign", Trace.String campaign); ("batch", Trace.Int (hi - lo)) ]
+        (fun () ->
+          Worker.run_shard ?pool:(Scheduler.pool s) ~jobs:(Scheduler.jobs s)
+            ~resolved ~spec ~lo ~hi ())
+    in
+    let worker = Coordinator.local_worker in
+    dispatch t
+      (match result with
+      | Ok records ->
+        Coordinator.shard_result t.coordinator ~worker ~campaign ~shard ~epoch
+          ~records ~now
+      | Error reason ->
+        Coordinator.shard_failed t.coordinator ~worker ~campaign ~shard ~epoch
+          ~reason ~now)
+
+(* A session still in its handshake may be a worker about to join; like
+   a connected one, it keeps the in-process worker from taking a shard it
+   could have had. *)
+let handshaking t =
+  Hashtbl.fold
+    (fun _ c acc ->
+      acc || (Session.terminal c.session = None && not (Session.active c.session)))
+    t.conns false
+
 let tick t ~now =
   Hashtbl.iter
     (fun _ c -> List.iter (on_event t c ~now) (Session.tick c.session ~now))
     t.conns;
-  (match t.coordinator with
-  | Some co when not t.draining ->
-    dispatch t (Coordinator.tick co ~now);
-    (* Graceful degradation: a coordinator with no connected workers
-       executes locally, exactly like the single-node daemon, so a
-       campaign never waits on a fleet that is not coming back. *)
-    if Coordinator.worker_count co = 0 && Scheduler.pending t.scheduler then
-      ignore (Scheduler.step t.scheduler)
-  | Some _ -> ()
-  | None ->
-    if (not t.draining) && Scheduler.pending t.scheduler then
-      ignore (Scheduler.step t.scheduler));
+  if not t.draining then begin
+    dispatch t (Coordinator.tick t.coordinator ~now);
+    if not (handshaking t) then local_turn t ~now
+  end;
   (* Deterministic streaming order so tests can compare transcripts. *)
   List.iter
     (fun id -> match conn t id with None -> () | Some c -> advance_conn t c)
@@ -284,12 +300,6 @@ let closed t ~conn:id =
 
 let terminal t ~conn:id =
   match conn t id with None -> None | Some c -> Session.terminal c.session
-
-let idle t =
-  (not (Scheduler.pending t.scheduler))
-  && Hashtbl.fold
-       (fun _ c acc -> acc && Session.terminal c.session <> None)
-       t.conns true
 
 let drain t ~now =
   if not t.draining then begin
@@ -368,13 +378,10 @@ let serve ~socket ?tcp_port ?(jobs = 1) ?session_config ?coordinator ~journal
   | Error _ as e -> e
   | Ok scheduler -> (
     let finish_scheduler () = Scheduler.close scheduler in
-    let coordinator =
-      match coordinator with
-      | None -> Ok None
-      | Some config ->
-        Result.map Option.some (Coordinator.create ~config ~scheduler ())
+    let config =
+      Option.value coordinator ~default:(default_coordinator_config ~jobs)
     in
-    match coordinator with
+    match Coordinator.create ~config ~scheduler () with
     | Error m ->
       finish_scheduler ();
       Error m
@@ -396,7 +403,7 @@ let serve ~socket ?tcp_port ?(jobs = 1) ?session_config ?coordinator ~journal
         finish_scheduler ();
         Error m
       | Ok tcp_fd ->
-        let core = create ?session_config ?coordinator ~scheduler () in
+        let core = create ?session_config ~coordinator ~scheduler () in
         let epoch = Unix.gettimeofday () in
         let stop = ref None in
         let handler s = stop := Some s in

@@ -1,4 +1,7 @@
-(** The daemon: sessions multiplexed over one scheduler.
+(** The daemon: sessions multiplexed over one scheduler, and one
+    coordinator that leases every campaign's shards to workers — remote
+    ones, or the daemon's own in-process worker while none is
+    connected.
 
     The sans-IO core ({!create} … {!closed}) owns every decision —
     handshakes, accepting and journaling specs, streaming records in
@@ -13,9 +16,11 @@
     exactly once, in index order, as canonical
     {!Perple_core.Ledger.record_line} bytes — journaled records first
     (replayed after a crash), then live ones as they retire — followed
-    by one [Metrics_chunk] built from the per-run captures.  The stream
-    is therefore byte-identical whatever [--jobs] was and wherever a
-    [kill -9] split the campaign. *)
+    by one [Metrics_chunk] built from the per-run captures.  Every record
+    passed the same lease, validation and journal path whichever worker
+    computed it, so the stream is byte-identical whatever [--jobs] was,
+    however many workers helped and wherever a [kill -9] split the
+    campaign. *)
 
 type t
 
@@ -25,10 +30,14 @@ val create :
   scheduler:Scheduler.t ->
   unit ->
   t
-(** With a [coordinator], worker sessions are admitted and campaigns
-    are sharded out as leases; without one, a [Worker_hello] is
-    rejected and closed.  The coordinator must have been created over
-    the same scheduler. *)
+(** Every daemon is a coordinator: worker sessions are always admitted.
+    [coordinator] must have been created over the same scheduler;
+    without one, a coordinator with {!Coordinator.default_config} and
+    [max 4 jobs]-run shards ([jobs] from {!Scheduler.create}) is created
+    here, so {!tick} alone runs campaigns to completion.  Raises
+    [Invalid_argument] if the scheduler's journal holds malformed
+    coordinator records ({!Coordinator.create} reports them as an
+    [Error]). *)
 
 val connect : t -> now:int -> int
 (** Register a new connection; returns its id. *)
@@ -39,9 +48,12 @@ val input : t -> conn:int -> now:int -> string -> unit
 val eof : t -> conn:int -> now:int -> unit
 
 val tick : t -> now:int -> unit
-(** One turn of the daemon: advance session clocks, run at most one
-    scheduler batch if work is pending, stream newly available records
-    to subscribed connections (respecting backpressure). *)
+(** One turn of the daemon: advance session clocks, let the
+    coordinator revoke and grant remote leases, let the in-process
+    worker run one shard if no remote worker is connected (nor any
+    session still in its handshake, which may be a worker about to
+    join), then stream newly available records to subscribed
+    connections (respecting backpressure). *)
 
 val flush : t -> conn:int -> string
 (** Take the connection's pending outbound bytes (empty if none). *)
@@ -60,9 +72,6 @@ val drain : t -> now:int -> unit
 
 val draining : t -> bool
 
-val idle : t -> bool
-(** No live sessions and no pending scheduler work. *)
-
 (** {1 Real transport} *)
 
 val serve :
@@ -78,9 +87,10 @@ val serve :
     socket file from a dead daemon is detected and replaced) and
     optionally a localhost TCP port.  If [journal] names an existing
     file, the scheduler resumes it — the daemon restart contract needs
-    no flag.  With [coordinator], the daemon also accepts workers and
-    shards campaigns into leases, falling back to local execution
-    whenever no worker is connected.  Blocks until SIGINT or SIGTERM,
+    no flag.  Campaigns are sharded into leases by [coordinator]
+    (default: {!Coordinator.default_config} with [max 4 jobs]-run
+    shards); the in-process worker runs them on [jobs] domains whenever
+    no [perple worker] is connected.  Blocks until SIGINT or SIGTERM,
     then drains (marker journaled, sessions notified, outputs flushed)
     and returns the signal number for the caller to turn into exit
     130/143. *)

@@ -242,28 +242,41 @@ let task_failed t ~reason =
 
 (* --- execution --------------------------------------------------------------- *)
 
-(* One campaign run, computed exactly as the scheduler's local [step]
-   would: same config, same counter, seeds re-split from the campaign
-   seed with every sibling skipped.  This is what makes a worker-merged
-   ledger byte-identical to a single-node --jobs run. *)
-let run_index ~(resolved : Scheduler.resolved) ~(spec : Wire.spec) ~index =
-  let out = ref None in
+(* The one place the service computes campaign runs, for the daemon's
+   in-process worker and remote workers alike: the shard's indices
+   through [Engine.campaign_entries] with every other index skipped, so
+   each run gets its pre-split seed whatever the shard boundaries.  The
+   engine's jobs clamp is computed from the full run count, so its notes
+   and metrics do not depend on the partition either. *)
+let run_shard ?pool ?(jobs = 1) ~(resolved : Scheduler.resolved)
+    ~(spec : Wire.spec) ~lo ~hi () =
+  let out = ref [] in
   match
     Engine.campaign_entries
       ~config:(Config.with_model resolved.Scheduler.r_model Config.default)
-      ~counter:resolved.Scheduler.r_counter ~jobs:1
-      ~skip:(fun i -> i <> index)
+      ~counter:resolved.Scheduler.r_counter ?pool ~jobs
+      ~skip:(fun i -> i < lo || i >= hi)
       ~on_entry:(fun entry ->
-        out := Some (Ledger.record_line (Ledger.of_entry entry)))
+        let summary = Ledger.of_entry entry in
+        out := (summary.Ledger.index, Ledger.record_line summary) :: !out)
       ~runs:spec.Wire.runs ~seed:spec.Wire.seed
       ~iterations:spec.Wire.iterations resolved.Scheduler.r_test
   with
   | Error reason ->
     Error (Format.asprintf "not convertible: %a" Convert.pp_reason reason)
-  | Ok _ -> (
-    match !out with
-    | Some line -> Ok line
-    | None -> Error (Printf.sprintf "run %d produced no entry" index))
+  | Ok _ ->
+    let records = List.sort (fun (a, _) (b, _) -> compare a b) !out in
+    if List.length records = hi - lo then Ok records
+    else
+      Error
+        (Printf.sprintf "runs %d..%d produced %d entries" lo (hi - 1)
+           (List.length records))
+
+let run_index ~resolved ~spec ~index =
+  match run_shard ~resolved ~spec ~lo:index ~hi:(index + 1) () with
+  | Ok [ (_, line) ] -> Ok line
+  | Ok _ -> Error (Printf.sprintf "run %d produced no entry" index)
+  | Error _ as e -> e
 
 (* --- blocking driver --------------------------------------------------------- *)
 
@@ -326,10 +339,11 @@ let work_blocking ~address ?(name = "perple-worker") ?(attempts = 10)
     | Ok r -> run_index ~resolved:r ~spec ~index
   in
   (* One connection: pump the state machine and execute leased runs
-     until it stops; returns the stop reason. *)
+     until it stops; returns the stop reason and whether a lease was
+     taken. *)
   let drive_once () =
     match connect_fd address with
-    | Error m -> m
+    | Error m -> (m, false)
     | Ok fd ->
       let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
       Fun.protect ~finally @@ fun () ->
@@ -375,7 +389,7 @@ let work_blocking ~address ?(name = "perple-worker") ?(attempts = 10)
             loop ()
       in
       let reason = loop () in
-      if leases_taken w > 0 then reason ^ "\x00worked" else reason
+      (reason, leases_taken w > 0)
   in
   let policy =
     { Supervisor.watchdog_rounds = max_int; min_retired = 1;
@@ -385,12 +399,7 @@ let work_blocking ~address ?(name = "perple-worker") ?(attempts = 10)
     match !stop_signal with
     | Some s -> Ok s
     | None ->
-      let raw = drive_once () in
-      let worked, reason =
-        match String.index_opt raw '\x00' with
-        | Some i -> (true, String.sub raw 0 i)
-        | None -> (false, raw)
-      in
+      let reason, worked = drive_once () in
       if reason = "signalled" then Ok (Option.value !stop_signal ~default:Sys.sigterm)
       else if retryable reason then begin
         (* Progress on the last connection refills the retry budget: a

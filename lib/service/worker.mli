@@ -59,14 +59,29 @@ val task_failed : t -> reason:string -> unit
     digest mismatch, engine fault).  Reports [Shard_failed] and drops
     the lease; the coordinator reassigns or abandons the shard. *)
 
+val run_shard :
+  ?pool:Perple_core.Pool.t ->
+  ?jobs:int ->
+  resolved:Scheduler.resolved ->
+  spec:Wire.spec ->
+  lo:int ->
+  hi:int ->
+  unit ->
+  ((int * string) list, string) result
+(** Execute the campaign runs [lo, hi) — same config, counter and
+    pre-split seeds as [perple run --runs R], every index outside the
+    range skipped — on up to [jobs] domains (default 1; [pool] reuses a
+    persistent pool), and return the canonical record lines in index
+    order.  This is the service's only execution path: the daemon's
+    in-process worker runs whole shards through it and remote workers
+    run it one index at a time, which is what makes every merged ledger
+    byte-identical to a single-node run. *)
+
 val run_index :
   resolved:Scheduler.resolved -> spec:Wire.spec -> index:int ->
   (string, string) result
-(** Execute one campaign run exactly as the daemon's local scheduler
-    would — same config, counter and pre-split seeds, every sibling
-    index skipped — and return the canonical record line.  This shared
-    path is what makes worker-merged ledgers byte-identical to a
-    single-node [--jobs] run. *)
+(** {!run_shard} of the single run [index], sequentially: its canonical
+    record line. *)
 
 type address = [ `Unix_socket of string | `Tcp of int ]
 (** Coordinator endpoint: a filesystem socket or a loopback TCP port. *)

@@ -411,6 +411,24 @@ let test_bad_jobs () =
   expect_fail ~grep:"--jobs must be positive" "run sb -n 100 --jobs 0";
   expect_fail ~grep:"--runs must be positive" "run sb -n 100 --runs 0"
 
+(* -n is checked once, for every command that takes it, before any run:
+   a usage error (exit 1) — never an uncaught exception (exit 125) nor a
+   campaign of crashed runs that exits 0. *)
+let test_bad_iterations () =
+  if Lazy.force have_binary then
+    List.iter
+      (fun args ->
+        let code, text = run_cli args in
+        check Alcotest.int (Printf.sprintf "perple %s exit code" args) 1 code;
+        if not (contains ~sub:"perple: -n must be positive" text) then
+          Alcotest.failf "perple %s: no -n message in output:\n%s" args text)
+      [
+        "run sb -n 0";
+        "run sb -n 0 --runs 4";
+        "supervise sb -n 0 --runs 2";
+        "litmus7 sb -n 0";
+      ]
+
 let test_run_cap_note () =
   expect_ok ~grep:"requested 5000"
     "run sb -n 5000 --counter exhaustive --cap 10000"
@@ -491,6 +509,7 @@ let suite =
         Alcotest.test_case "crash-suite wrong config rejected" `Quick
           test_crash_suite_wrong_config_rejected;
         Alcotest.test_case "bad --runs/--jobs" `Quick test_bad_jobs;
+        Alcotest.test_case "bad -n" `Quick test_bad_iterations;
         Alcotest.test_case "run cap note" `Quick test_run_cap_note;
         Alcotest.test_case "unknown test" `Quick test_unknown_test;
         Alcotest.test_case "bad cycle" `Quick test_bad_cycle;

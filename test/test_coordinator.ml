@@ -7,6 +7,7 @@
    to a single-node run whenever no shard was abandoned. *)
 
 module Framed = Perple_util.Framed
+module Json = Perple_util.Json
 module Journal = Perple_util.Journal
 module Wire = Perple_service.Wire
 module Session = Perple_service.Session
@@ -45,27 +46,9 @@ let co_config ?(shard_runs = 2) ?(max_attempts = 4) () =
   { Coordinator.shard_runs; lease_ticks; max_attempts; retry_delay = 10;
     retry_backoff = 2.0 }
 
-(* The single-node truth a distributed execution must reproduce. *)
-let reference_records sp =
-  let sched = Result.get_ok (Scheduler.create ~jobs:1 ~journal:None ()) in
-  (match Scheduler.submit sched sp with
-  | Ok _ -> ()
-  | Error m -> Alcotest.failf "reference submit failed: %s" m);
-  let guard = ref 0 in
-  while Scheduler.pending sched do
-    incr guard;
-    if !guard > 10_000 then Alcotest.fail "reference failed to converge";
-    ignore (Scheduler.step sched)
-  done;
-  let records =
-    List.init sp.Wire.runs (fun index ->
-        Option.get (Scheduler.record sched ~campaign:sp.Wire.campaign ~index))
-  in
-  let metrics =
-    Option.get (Scheduler.metrics_payload sched ~campaign:sp.Wire.campaign)
-  in
-  Scheduler.close sched;
-  (records, metrics)
+(* The single-node truth a distributed execution must reproduce: the
+   [perple run --runs R] campaign. *)
+let reference_records = Test_service.reference_records
 
 let execute_task cache (tk : Worker.task) =
   let resolved =
@@ -329,12 +312,13 @@ let test_multiworker_chaos_schedules () =
                     the workers"
       !faulted
 
-(* Satellite: merged ledger and metrics byte-identical across worker
-   counts {1, 2, 4} x seeded failure schedules.  With an effectively
-   unbounded retry budget no shard can be abandoned, so every worker
-   count must converge to the reference bytes. *)
+(* Merged ledger and metrics byte-identical across remote worker counts
+   {0, 1, 2, 4} x seeded failure schedules, where 0 leaves every shard
+   to the daemon's in-process worker.  With an effectively unbounded
+   retry budget no shard can be abandoned, so every worker count must
+   converge to the reference bytes. *)
 let worker_count_equivalence_property =
-  QCheck.Test.make ~name:"merged output identical across 1/2/4 workers"
+  QCheck.Test.make ~name:"merged output identical across 0/1/2/4 workers"
     ~count:12
     (QCheck.make QCheck.Gen.(0 -- 10_000))
     (fun seed ->
@@ -356,7 +340,7 @@ let worker_count_equivalence_property =
           in
           Scheduler.close sched;
           ok)
-        [ 1; 2; 4 ])
+        [ 0; 1; 2; 4 ])
 
 (* --- directed lease-machine tests -------------------------------------------- *)
 
@@ -502,7 +486,7 @@ let test_coordinator_kill_resume_epochs () =
   let l1 = Option.get (lease_of_commands cmds ~worker:1) in
   check Alcotest.int "first lease epoch" 1 l1.lv_epoch;
   (* kill -9: nothing drains, the journal is all that survives. *)
-  Scheduler.abandon sched1;
+  Scheduler.close sched1;
   let sched2 = Result.get_ok (Scheduler.create ~journal:(Some path) ()) in
   let co2 =
     Result.get_ok
@@ -548,35 +532,184 @@ let test_disconnect_reassigns () =
     (l'.lv_epoch > l.lv_epoch);
   Scheduler.close sched
 
-(* --- fairness ----------------------------------------------------------------- *)
-
-(* Satellite: the scheduler interleaves runnable campaigns round-robin
-   instead of draining the oldest first. *)
-let test_scheduler_round_robin_fairness () =
-  let sched = Result.get_ok (Scheduler.create ~jobs:1 ~journal:None ()) in
+(* A campaign's shard partition is pinned in the journal: a resume with
+   another shard size keeps it, so shard-indexed records ("lease",
+   "revoke", "shard-dead") still name the runs they named when written.
+   Killed shards 0 (and 2) of a 6-run campaign cut into 2-run shards,
+   resumed with 3-run shards: runs 2-3 were never computed and must
+   not be written off, and a dead shard 2 must not fail the resume. *)
+let test_partition_pinned_across_restart () =
+  with_scratch @@ fun () ->
+  let sp = spec ~campaign:"pinned" ~runs:6 () in
+  let reference, _ = reference_records sp in
   List.iter
-    (fun c ->
-      match Scheduler.submit sched (spec ~campaign:c ~runs:2 ~iterations:40 ()) with
-      | Ok _ -> ()
-      | Error m -> Alcotest.failf "submit %s failed: %s" c m)
-    [ "aaa"; "bbb"; "ccc" ];
-  let order = ref [] in
-  while Scheduler.pending sched do
-    match Scheduler.step sched with
-    | Some (campaign, _) -> order := campaign :: !order
-    | None -> ()
-  done;
-  let order = List.rev !order in
-  check Alcotest.int "six batches for six runs" 6 (List.length order);
-  (* Strict rotation: no campaign starves behind an earlier one. *)
+    (fun dead ->
+      let path =
+        in_scratch (Printf.sprintf "pinned-%d.journal" (List.length dead))
+      in
+      let sched1, co1 =
+        make_co ~shard_runs:2 ~max_attempts:1 ~journal:path ~sp ()
+      in
+      (* Worker i leases shard i; shards past the last dead one are
+         never leased. *)
+      List.iter
+        (fun id -> Coordinator.add_worker co1 ~id ~name:(Printf.sprintf "w%d" id))
+        (List.init (1 + List.fold_left max 0 dead) Fun.id);
+      let cmds = Coordinator.tick co1 ~now:0 in
+      List.iter
+        (fun shard ->
+          let l = Option.get (lease_of_commands cmds ~worker:shard) in
+          check Alcotest.int "worker i holds shard i" shard l.lv_shard;
+          ignore
+            (Coordinator.shard_failed co1 ~worker:shard ~campaign:"pinned"
+               ~shard ~epoch:l.lv_epoch ~reason:"synthetic fault" ~now:1))
+        dead;
+      Scheduler.close sched1;
+      let sched2 = Result.get_ok (Scheduler.create ~journal:(Some path) ()) in
+      let co2 =
+        match
+          Coordinator.create ~config:(co_config ~shard_runs:3 ()) ~scheduler:sched2
+            ()
+        with
+        | Ok co -> co
+        | Error m -> Alcotest.failf "resume with 3-run shards rejected: %s" m
+      in
+      List.iter
+        (fun index ->
+          check Alcotest.bool
+            (Printf.sprintf "run %d is written off iff its shard died" index)
+            (List.mem (index / 2) dead)
+            (Scheduler.record sched2 ~campaign:"pinned" ~index <> None))
+        [ 0; 1; 2; 3; 4; 5 ];
+      Coordinator.add_worker co2 ~id:9 ~name:"late";
+      let now = ref 10 in
+      while
+        (not (Scheduler.is_complete sched2 ~campaign:"pinned")) && !now < 1_000
+      do
+        (match lease_of_commands (Coordinator.tick co2 ~now:!now) ~worker:9 with
+        | Some l ->
+          check Alcotest.int "leases keep 2-run shards" 2 (l.lv_hi - l.lv_lo);
+          ignore
+            (Coordinator.shard_result co2 ~worker:9 ~campaign:"pinned"
+               ~shard:l.lv_shard ~epoch:l.lv_epoch
+               ~records:(shard_lines ~sp ~lo:l.lv_lo ~hi:l.lv_hi)
+               ~now:!now)
+        | None -> ());
+        now := !now + 10
+      done;
+      List.iteri
+        (fun index line ->
+          if not (List.mem (index / 2) dead) then
+            check
+              Alcotest.(option string)
+              (Printf.sprintf "run %d matches the reference" index)
+              (Some line)
+              (Scheduler.record sched2 ~campaign:"pinned" ~index))
+        reference;
+      Scheduler.close sched2)
+    [ [ 0 ]; [ 0; 2 ] ]
+
+(* A worker that connects to a plain daemon mid-campaign takes over the
+   remaining shards from the in-process worker, and the client's stream
+   is unchanged. *)
+let test_worker_joins_plain_daemon () =
+  let sp = spec ~campaign:"handover" ~runs:12 ~iterations:60 () in
+  let reference, ref_metrics = reference_records sp in
+  let sched = Result.get_ok (Scheduler.create ~journal:None ()) in
+  let server = Server.create ~session_config:fast_session ~scheduler:sched () in
+  let conn = Server.connect server ~now:0 in
+  let client = Client.create ~config:fast_client ~spec:sp ~now:0 () in
+  let cache = Hashtbl.create 4 in
+  let worker = ref None in
+  (try
+     for now = 0 to 10_000 do
+       let cbytes = Framed.take_all (Client.output client) in
+       if cbytes <> "" then Server.input server ~conn ~now cbytes;
+       let sbytes = Server.flush server ~conn in
+       if sbytes <> "" then Client.input client ~now sbytes;
+       (* The in-process worker has run its first shard: a worker dials. *)
+       if !worker = None && Scheduler.completed sched ~campaign:"handover" > 0
+       then
+         worker :=
+           Some
+             (Server.connect server ~now,
+              Worker.create ~config:fast_worker ~name:"w" ~now ());
+       (match !worker with
+       | None -> ()
+       | Some (wconn, w) ->
+         let bytes = Server.flush server ~conn:wconn in
+         if bytes <> "" then Worker.input w ~now bytes;
+         (match Worker.task w with
+         | Some tk -> (
+           match execute_task cache tk with
+           | Ok record -> Worker.task_done w ~now ~record
+           | Error m -> Worker.task_failed w ~reason:m)
+         | None -> ());
+         Worker.tick w ~now;
+         let out = Framed.take_all (Worker.output w) in
+         if out <> "" then Server.input server ~conn:wconn ~now out);
+       Server.tick server ~now;
+       Client.tick client ~now;
+       if Client.status client <> Client.Pending then raise Settled
+     done
+   with Settled -> ());
+  (match Client.status client with
+  | Client.Done outcome ->
+    check Alcotest.(list string) "stream matches the reference" reference
+      outcome.Client.records;
+    check Alcotest.string "metrics match the reference" ref_metrics
+      outcome.Client.metrics
+  | Client.Failed m -> Alcotest.failf "handover failed the client: %s" m
+  | Client.Pending -> Alcotest.fail "handover hung");
+  let holders =
+    List.filter_map
+      (fun j ->
+        match (Json.member "kind" j, Json.member "shard" j, Json.member "worker" j)
+        with
+        | Some (Json.String "lease"), Some (Json.Int shard), Some (Json.String w)
+          ->
+          Some (shard, w)
+        | _ -> None)
+      (Scheduler.extras sched)
+  in
   check
-    Alcotest.(list string)
-    "campaigns interleave round-robin"
-    [ "aaa"; "bbb"; "ccc"; "aaa"; "bbb"; "ccc" ]
-    order;
+    Alcotest.(list (pair int string))
+    "the first shard ran locally, the rest on the worker"
+    [ (0, "local"); (1, "w"); (2, "w") ]
+    holders;
   Scheduler.close sched
 
-(* Coordinator lease assignment interleaves campaigns the same way. *)
+(* A connection still in its handshake may be a worker about to join:
+   the in-process worker leaves the next shard to it. *)
+let test_handshake_defers_local_worker () =
+  let sp = spec ~campaign:"defer" ~runs:4 () in
+  let sched = Result.get_ok (Scheduler.create ~journal:None ()) in
+  ignore (Result.get_ok (Scheduler.submit sched sp));
+  let server = Server.create ~session_config:fast_session ~scheduler:sched () in
+  let wconn = Server.connect server ~now:0 in
+  Server.tick server ~now:1;
+  check Alcotest.int "no local shard while a peer is in its handshake" 0
+    (Scheduler.completed sched ~campaign:"defer");
+  let w = Worker.create ~config:fast_worker ~name:"w" ~now:1 () in
+  Server.input server ~conn:wconn ~now:2 (Framed.take_all (Worker.output w));
+  Server.tick server ~now:2;
+  check
+    Alcotest.(list string)
+    "the shard went to the worker"
+    [ {|{"kind":"lease","campaign":"defer","shard":0,"epoch":1,"worker":"w"}|} ]
+    (List.filter_map
+       (fun j ->
+         if Json.member "kind" j = Some (Json.String "lease") then
+           Some (Json.to_string j)
+         else None)
+       (Scheduler.extras sched));
+  Scheduler.close sched
+
+(* --- fairness ----------------------------------------------------------------- *)
+
+(* Lease assignment interleaves campaigns round-robin instead of
+   draining the oldest first; the in-process worker takes its shards by
+   the same rule. *)
 let test_coordinator_lease_fairness () =
   let sched = Result.get_ok (Scheduler.create ~journal:None ()) in
   List.iter
@@ -604,6 +737,33 @@ let test_coordinator_lease_fairness () =
   check
     Alcotest.(list string)
     "two workers serve two campaigns, not one" [ "camp-a"; "camp-b" ] campaigns;
+  Scheduler.close sched;
+  (* The in-process worker, alone, rotates strictly over campaigns. *)
+  let sched = Result.get_ok (Scheduler.create ~journal:None ()) in
+  List.iter
+    (fun c ->
+      ignore
+        (Result.get_ok
+           (Scheduler.submit sched (spec ~campaign:c ~runs:4 ~iterations:40 ()))))
+    [ "aaa"; "bbb"; "ccc" ];
+  let co =
+    Result.get_ok
+      (Coordinator.create ~config:(co_config ()) ~scheduler:sched ())
+  in
+  let rec turns acc =
+    match Coordinator.lease_local co ~now:0 with
+    | None -> List.rev acc
+    | Some { Coordinator.campaign; shard; epoch; lo; hi; spec = sp; _ } ->
+      ignore
+        (Coordinator.shard_result co ~worker:Coordinator.local_worker ~campaign
+           ~shard ~epoch ~records:(shard_lines ~sp ~lo ~hi) ~now:0);
+      turns (campaign :: acc)
+  in
+  check
+    Alcotest.(list string)
+    "local shards interleave round-robin"
+    [ "aaa"; "bbb"; "ccc"; "aaa"; "bbb"; "ccc" ]
+    (turns []);
   Scheduler.close sched
 
 (* --- rate limiting ------------------------------------------------------------ *)
@@ -676,8 +836,8 @@ let test_client_busy_classification () =
 
 (* --- progress streaming ------------------------------------------------------- *)
 
-(* Satellite: a follower sees monotonic progress updates ending at
-   completion, against a plain daemon (shard counts zero). *)
+(* A follower sees monotonic progress updates ending at completion,
+   against a plain daemon whose in-process worker runs the shards. *)
 let test_progress_stream () =
   let sp = spec ~campaign:"follow" ~runs:3 ~iterations:50 () in
   let sched = Result.get_ok (Scheduler.create ~jobs:1 ~journal:None ()) in
@@ -716,6 +876,7 @@ let test_progress_stream () =
     last.Client.runs_done;
   check Alcotest.int "total is the campaign size" sp.Wire.runs
     last.Client.runs_total;
+  check Alcotest.int "the one shard is done" 1 last.Client.shards_done;
   Scheduler.close sched
 
 (* Worker protocol discipline: client-stream frames stop the machine. *)
@@ -756,11 +917,15 @@ let suite =
           test_coordinator_kill_resume_epochs;
         Alcotest.test_case "disconnect reassigns the shard" `Quick
           test_disconnect_reassigns;
+        Alcotest.test_case "shard partition pinned across restart" `Quick
+          test_partition_pinned_across_restart;
+        Alcotest.test_case "worker joins a plain daemon mid-campaign" `Quick
+          test_worker_joins_plain_daemon;
+        Alcotest.test_case "handshake defers the in-process worker" `Quick
+          test_handshake_defers_local_worker;
       ] );
     ( "coordinator.fairness",
       [
-        Alcotest.test_case "scheduler round-robin" `Quick
-          test_scheduler_round_robin_fairness;
         Alcotest.test_case "lease assignment interleaves campaigns" `Quick
           test_coordinator_lease_fairness;
       ] );

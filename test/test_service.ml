@@ -2,10 +2,10 @@
    robustness, framed nonblocking buffers, session discipline
    (handshake, quarantine, liveness, backpressure), scheduler journal
    resume with byte-identical re-streaming for any kill point and any
-   jobs value, the sans-IO server/client pair end to end, and the
-   seeded chaos-proxy suite: hundreds of fault schedules, each of which
-   must end in a classified terminal state — never a hang, never a
-   corrupted journal. *)
+   jobs value (checked against the [perple run] campaign), the sans-IO
+   server/client pair end to end, and the seeded chaos-proxy suite:
+   hundreds of fault schedules, each of which must end in a classified
+   terminal state — never a hang, never a corrupted journal. *)
 
 module Framed = Perple_util.Framed
 module Journal = Perple_util.Journal
@@ -17,6 +17,10 @@ module Scheduler = Perple_service.Scheduler
 module Server = Perple_service.Server
 module Client = Perple_service.Client
 module Chaos = Perple_service.Chaos
+module Coordinator = Perple_service.Coordinator
+module Engine = Perple_core.Engine
+module Ledger = Perple_core.Ledger
+module Config = Perple_sim.Config
 
 let check = Alcotest.check
 
@@ -391,12 +395,21 @@ let test_session_drain_completes () =
 
 (* --- scheduler -------------------------------------------------------------- *)
 
-let run_to_completion sched =
+let settled sched =
+  List.for_all
+    (fun campaign ->
+      Scheduler.is_complete sched ~campaign
+      || Scheduler.is_cancelled sched ~campaign)
+    (Scheduler.campaign_ids sched)
+
+(* Daemon turns with no client attached, until every accepted campaign
+   is complete or cancelled. *)
+let run_to_completion server sched =
   let guard = ref 0 in
-  while Scheduler.pending sched do
+  while not (settled sched) do
     incr guard;
-    if !guard > 10_000 then Alcotest.fail "scheduler failed to converge";
-    ignore (Scheduler.step sched)
+    if !guard > 10_000 then Alcotest.fail "daemon failed to converge";
+    Server.tick server ~now:!guard
   done
 
 let all_records sched ~campaign =
@@ -408,18 +421,38 @@ let all_records sched ~campaign =
         | Some line -> line
         | None -> Alcotest.failf "campaign %s missing record %d" campaign index)
 
-(* The clean, in-memory reference for a spec: what any journaled,
-   killed, restarted or re-jobbed execution must reproduce exactly. *)
+(* The reference for a spec is the CLI's campaign, [perple run --runs R]:
+   every run through [Engine.campaign_entries], nothing skipped, per-run
+   metrics captured as under [--journal].  Whatever the daemon does —
+   journaled, killed, restarted, re-jobbed, sharded over workers — must
+   stream exactly these record lines and this merged metrics chunk. *)
 let reference_records sp =
-  let sched = Result.get_ok (Scheduler.create ~jobs:1 ~journal:None ()) in
-  (match Scheduler.submit sched sp with
-  | Ok _ -> ()
-  | Error m -> Alcotest.failf "reference submit failed: %s" m);
-  run_to_completion sched;
-  let records = all_records sched ~campaign:sp.Wire.campaign in
-  let metrics = Scheduler.metrics_payload sched ~campaign:sp.Wire.campaign in
-  Scheduler.close sched;
-  (records, Option.get metrics)
+  let r =
+    match Scheduler.resolve_spec sp with
+    | Ok r -> r
+    | Error m -> Alcotest.failf "reference spec rejected: %s" m
+  in
+  let entries =
+    match
+      Engine.campaign_entries
+        ~config:(Config.with_model r.Scheduler.r_model Config.default)
+        ~counter:r.Scheduler.r_counter ~jobs:1 ~on_entry:ignore
+        ~runs:sp.Wire.runs ~seed:sp.Wire.seed ~iterations:sp.Wire.iterations
+        r.Scheduler.r_test
+    with
+    | Ok entries -> entries
+    | Error _ -> Alcotest.fail "reference campaign did not convert"
+  in
+  let summaries =
+    Array.to_list (Array.map (fun e -> Ledger.of_entry (Option.get e)) entries)
+  in
+  let sink = Metrics.create_sink () in
+  List.iter
+    (fun s ->
+      Option.iter (fun m -> ignore (Metrics.merge_json sink m)) s.Ledger.metrics)
+    summaries;
+  ( List.map Ledger.record_line summaries,
+    Json.to_string (Metrics.to_json sink) )
 
 let test_scheduler_validation () =
   let sched = Result.get_ok (Scheduler.create ~journal:None ()) in
@@ -446,9 +479,10 @@ let test_scheduler_validation () =
 
 let test_scheduler_idempotent_submit () =
   let sched = Result.get_ok (Scheduler.create ~journal:None ()) in
+  let server = Server.create ~scheduler:sched () in
   let sp = spec ~runs:2 ~iterations:100 () in
   let a = Result.get_ok (Scheduler.submit sched sp) in
-  run_to_completion sched;
+  run_to_completion server sched;
   (match Scheduler.submit sched sp with
   | Ok b ->
     check Alcotest.string "same digest" a.Scheduler.digest b.Scheduler.digest;
@@ -461,64 +495,86 @@ let test_scheduler_idempotent_submit () =
 
 let test_scheduler_cancel () =
   let sched = Result.get_ok (Scheduler.create ~journal:None ()) in
-  let sp = spec ~campaign:"victim" ~runs:4 ~iterations:100 () in
+  let server = Server.create ~scheduler:sched () in
+  let sp = spec ~campaign:"victim" ~runs:8 ~iterations:100 () in
   ignore (Result.get_ok (Scheduler.submit sched sp));
-  ignore (Scheduler.step sched);
+  Server.tick server ~now:0;
+  let before = Scheduler.completed sched ~campaign:"victim" in
+  check Alcotest.bool "one shard ran before the cancel" true
+    (before > 0 && before < 8);
   check Alcotest.bool "cancel known campaign" true
     (Scheduler.cancel sched ~campaign:"victim");
-  check Alcotest.bool "cancelled campaigns stop scheduling" false
-    (Scheduler.pending sched);
+  for now = 1 to 20 do
+    Server.tick server ~now
+  done;
+  check Alcotest.int "cancelled campaigns stop scheduling" before
+    (Scheduler.completed sched ~campaign:"victim");
   check Alcotest.bool "cancel unknown campaign" false
     (Scheduler.cancel sched ~campaign:"ghost");
   check Alcotest.bool "no metrics for a cancelled campaign" true
     (Scheduler.metrics_payload sched ~campaign:"victim" = None);
   Scheduler.close sched
 
-(* Kill -9 equivalence at the scheduler layer: for several kill points
-   and jobs values, abandon the journal mid-campaign, resume it in a
-   fresh scheduler (different jobs), and demand byte-identical records
-   plus an undamaged journal. *)
+(* Kill -9 equivalence at the daemon core: for several kill points and
+   jobs values, close the journal mid-campaign without draining —
+   optionally with a local lease granted and its shard never finished —
+   resume it in a fresh scheduler and server (different jobs, hence a
+   different default shard size), and demand byte-identical records plus
+   an undamaged journal. *)
 let test_scheduler_kill_resume_equivalence () =
   with_scratch @@ fun () ->
-  let sp = spec ~campaign:"kr" ~runs:5 ~iterations:120 ~seed:11 () in
+  let sp = spec ~campaign:"kr" ~runs:9 ~iterations:120 ~seed:11 () in
   let reference, ref_metrics = reference_records sp in
   List.iter
-    (fun (jobs_before, jobs_after, kill_after_steps) ->
+    (fun (jobs_before, jobs_after, kill_after_turns, mid_shard) ->
+      let label =
+        Printf.sprintf "%d/%d/%d/%b" jobs_before jobs_after kill_after_turns
+          mid_shard
+      in
       let path =
         in_scratch
-          (Printf.sprintf "kr-%d-%d-%d.journal" jobs_before jobs_after
-             kill_after_steps)
+          (Printf.sprintf "kr-%d-%d-%d-%b.journal" jobs_before jobs_after
+             kill_after_turns mid_shard)
       in
       let s1 =
         Result.get_ok
           (Scheduler.create ~jobs:jobs_before ~journal:(Some path) ())
       in
+      let co1 =
+        Result.get_ok
+          (Coordinator.create
+             ~config:
+               { Coordinator.default_config with
+                 shard_runs = max 4 jobs_before }
+             ~scheduler:s1 ())
+      in
+      let server1 = Server.create ~coordinator:co1 ~scheduler:s1 () in
       ignore (Result.get_ok (Scheduler.submit s1 sp));
-      for _ = 1 to kill_after_steps do
-        ignore (Scheduler.step s1)
+      for now = 1 to kill_after_turns do
+        Server.tick server1 ~now
       done;
+      (* Killed between granting a local lease and finishing its shard. *)
+      if mid_shard then ignore (Coordinator.lease_local co1 ~now:0);
       let before = Scheduler.completed s1 ~campaign:"kr" in
-      Scheduler.abandon s1;
+      Scheduler.close s1;
       (* Restart over the same journal, different parallelism. *)
       let s2 =
         Result.get_ok
           (Scheduler.create ~jobs:jobs_after ~journal:(Some path) ())
       in
+      let server2 = Server.create ~scheduler:s2 () in
       let resumed = Result.get_ok (Scheduler.submit s2 sp) in
       check Alcotest.int
-        (Printf.sprintf "journaled runs survive kill (%d/%d/%d)" jobs_before
-           jobs_after kill_after_steps)
+        (Printf.sprintf "journaled runs survive kill (%s)" label)
         before resumed.Scheduler.completed;
-      run_to_completion s2;
+      run_to_completion server2 s2;
       check
         Alcotest.(list string)
-        (Printf.sprintf "records byte-identical (%d/%d/%d)" jobs_before
-           jobs_after kill_after_steps)
+        (Printf.sprintf "records byte-identical (%s)" label)
         reference
         (all_records s2 ~campaign:"kr");
       check Alcotest.string
-        (Printf.sprintf "metrics payload identical (%d/%d/%d)" jobs_before
-           jobs_after kill_after_steps)
+        (Printf.sprintf "metrics payload identical (%s)" label)
         ref_metrics
         (Option.get (Scheduler.metrics_payload s2 ~campaign:"kr"));
       Scheduler.close s2;
@@ -527,22 +583,33 @@ let test_scheduler_kill_resume_equivalence () =
       | Ok r ->
         check Alcotest.int "no damaged bytes after clean shutdown" 0
           r.Journal.dropped_bytes)
-    [ (1, 4, 0); (1, 1, 2); (4, 1, 1); (2, 3, 3); (4, 2, 99) ]
+    [
+      (1, 4, 0, false);
+      (1, 1, 2, false);
+      (4, 1, 1, false);
+      (2, 3, 3, false);
+      (4, 2, 99, false);
+      (1, 8, 1, true);
+      (6, 1, 0, true);
+    ]
 
 let test_scheduler_draining_marker_resumes () =
   with_scratch @@ fun () ->
   let path = in_scratch "drain.journal" in
-  let sp = spec ~campaign:"dr" ~runs:3 ~iterations:100 () in
+  let sp = spec ~campaign:"dr" ~runs:6 ~iterations:100 () in
   let s1 = Result.get_ok (Scheduler.create ~journal:(Some path) ()) in
+  let server1 = Server.create ~scheduler:s1 () in
   ignore (Result.get_ok (Scheduler.submit s1 sp));
-  ignore (Scheduler.step s1);
+  Server.tick server1 ~now:0;
   Scheduler.note_draining s1;
   Scheduler.close s1;
   (* The marker must not poison the resume path. *)
   let s2 = Result.get_ok (Scheduler.create ~journal:(Some path) ()) in
+  let server2 = Server.create ~scheduler:s2 () in
   let resumed = Result.get_ok (Scheduler.submit s2 sp) in
-  check Alcotest.int "one run survived the drain" 1 resumed.Scheduler.completed;
-  run_to_completion s2;
+  check Alcotest.int "one shard survived the drain" 4
+    resumed.Scheduler.completed;
+  run_to_completion server2 s2;
   check Alcotest.bool "campaign finishes after drained restart" true
     (Scheduler.is_complete s2 ~campaign:"dr");
   Scheduler.close s2
@@ -643,8 +710,8 @@ let test_server_kill_restart_stream_identity () =
   let server1 = Server.create ~session_config:fast_session ~scheduler:s1 () in
   let conn1 = Server.connect server1 ~now:0 in
   let client1 = Client.create ~config:fast_client ~spec:sp ~now:0 () in
-  (* Let the submission land and at least one batch retire, then
-     simulate kill -9: the scheduler journal fd closes, nothing drains. *)
+  (* Let the submission land and one shard retire, then simulate
+     kill -9: the scheduler journal fd closes, nothing drains. *)
   let cbytes = Framed.take_all (Client.output client1) in
   Server.input server1 ~conn:conn1 ~now:0 cbytes;
   Client.input client1 ~now:0 (Server.flush server1 ~conn:conn1);
@@ -654,7 +721,7 @@ let test_server_kill_restart_stream_identity () =
   let journaled = Scheduler.completed s1 ~campaign:"resurrect" in
   check Alcotest.bool "kill point is mid-campaign" true
     (journaled > 0 && journaled < 5);
-  Scheduler.abandon s1;
+  Scheduler.close s1;
   (* Restart: fresh scheduler and server over the same journal. *)
   let s2 = Result.get_ok (Scheduler.create ~jobs:1 ~journal:(Some path) ()) in
   let server2 = Server.create ~session_config:fast_session ~scheduler:s2 () in
