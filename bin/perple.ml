@@ -44,138 +44,111 @@ let load_test spec =
            spec)
   end
 
-let test_arg =
-  let doc = "Catalog test name (see $(b,perple list)) or path to a .litmus file." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"TEST" ~doc)
-
 (* A usage error: the message every command prints for an [Error], and
    exit 1 (cmdliner's own parse errors exit 124). *)
 let usage_error m =
   prerr_endline ("perple: " ^ m);
   Stdlib.exit 1
 
-(* Checked while the arguments are evaluated, so every command that
-   takes [-n] refuses a non-positive count before doing any work. *)
-let iterations_arg =
-  let doc = "Number of test iterations N (positive)." in
-  let positive n = if n > 0 then n else usage_error "-n must be positive" in
-  Term.(
-    const positive
-    $ Arg.(value & opt int 10_000 & info [ "n"; "iterations" ] ~docv:"N" ~doc))
+let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
+let ( let* ) = Result.bind
 
-let seed_arg =
-  let doc = "PRNG seed; equal seeds reproduce runs exactly." in
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
+(* --- campaign spec ---------------------------------------------------------
 
-let model_conv =
-  let parse s =
-    match s with
-    | "sc" -> Ok Config.Sc
-    | "tso" -> Ok Config.Tso
-    | "pso" -> Ok Config.Pso
-    | "tso+store-reorder-bug" -> Ok Config.Tso_store_reorder
-    | "tso+fence-ignored-bug" -> Ok Config.Tso_fence_ignored
-    | _ ->
-      Error
-        (`Msg
-           "expected sc, tso, pso, tso+store-reorder-bug or \
-            tso+fence-ignored-bug")
+   The arguments below are validated while cmdliner evaluates them, so a
+   bad value exits 1 with a [perple: FLAG must be RULE] message before
+   any command body runs. *)
+
+let must_be flag rule = usage_error (Printf.sprintf "%s must be %s" flag rule)
+
+let at_least lo flag v =
+  if v >= lo then v
+  else must_be flag (if lo > 0 then "positive" else "non-negative")
+
+let bounded lo flag arg = Term.(const (at_least lo flag) $ arg)
+
+(* A flag over a closed set of names, parsed and printed by the name
+   table that owns its type. *)
+let enum_conv ~expected of_name name =
+  Arg.conv
+    ( (fun s ->
+        Option.to_result ~none:(`Msg ("expected " ^ expected)) (of_name s)),
+      fun ppf v -> Format.pp_print_string ppf (name v) )
+
+let load_or_exit spec =
+  match load_test spec with Ok test -> test | Error m -> usage_error m
+
+let test_arg =
+  let doc =
+    "Catalog test name (see $(b,perple list)) or path to a .litmus file."
   in
-  Arg.conv (parse, fun ppf m -> Format.pp_print_string ppf (Config.model_name m))
+  Term.(
+    const load_or_exit
+    $ Arg.(required & pos 0 (some string) None & info [] ~docv:"TEST" ~doc))
+
+let runs_arg ~default doc =
+  Arg.(value & opt int default & info [ "runs" ] ~docv:"R" ~doc)
+
+(* -n, --seed and the campaign size, checked together by the engine's
+   campaign rule — the rule the daemon applies to submitted specs. *)
+let sizes_term runs =
+  let name = function
+    | Engine.Runs -> "--runs"
+    | Engine.Iterations -> "-n"
+    | Engine.Seed -> "--seed"
+  in
+  let check iterations seed runs =
+    match Engine.check_campaign ~name ~runs ~iterations ~seed () with
+    | Ok () -> (iterations, seed, runs)
+    | Error m -> usage_error m
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value & opt int 10_000
+        & info [ "n"; "iterations" ] ~docv:"N"
+            ~doc:"Number of test iterations N (positive).")
+    $ Arg.(
+        value & opt int 42
+        & info [ "seed" ] ~docv:"SEED"
+            ~doc:
+              "PRNG seed (non-negative); equal seeds reproduce runs \
+               exactly.")
+    $ runs)
 
 let model_arg =
   let doc =
     "Simulated hardware model: $(b,sc), $(b,tso) (default), $(b,pso), \
      $(b,tso+store-reorder-bug) or $(b,tso+fence-ignored-bug)."
   in
+  let model_conv =
+    enum_conv
+      ~expected:
+        "sc, tso, pso, tso+store-reorder-bug or tso+fence-ignored-bug"
+      Config.model_of_name Config.model_name
+  in
   Arg.(value & opt model_conv Config.Tso & info [ "model" ] ~docv:"MODEL" ~doc)
 
 let config_of_model model = Config.with_model model Config.default
 
 let stress_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "stress" ] ~docv:"K"
-        ~doc:
-          "Add $(docv) stress threads hammering scratch locations (paper, \
-           Sec II-B1).")
+  bounded 0 "--stress"
+    Arg.(
+      value & opt int 0
+      & info [ "stress" ] ~docv:"K"
+          ~doc:
+            "Add $(docv) stress threads (non-negative) hammering scratch \
+             locations (paper, Sec II-B1).")
 
-let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
-
-(* Every resumable subcommand (run, supervise, crash-suite) shares this
-   up-front check, so --resume without --journal fails immediately with
-   the same actionable message instead of partway into setup. *)
-let resume_requires_journal =
-  "--resume requires --journal FILE: resume continues the campaign \
-   recorded in that journal, so pass the same --journal path the \
-   interrupted command used"
-
-let check_resume ~journal ~resume =
-  if resume && journal = None then Error resume_requires_journal else Ok ()
-
-(* --- observability -------------------------------------------------------- *)
-
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Record spans across the pipeline (engine, machine, counters, \
-           supervisor, pool) and write them to $(docv) as Chrome \
-           trace-event JSON (loadable in chrome://tracing or Perfetto).  \
-           Observation only: the printed ledger is byte-identical with or \
-           without tracing.")
-
-let metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"FILE"
-        ~doc:
-          "Write a JSON summary of deterministic pipeline counters \
-           (machine rounds, counter evaluations, supervisor retries, ...) \
-           to $(docv).  The summary is bit-identical for any $(b,--jobs) \
-           value and with or without $(b,--trace).")
-
-(* Install ambient sinks for [f], then write the requested files.  Notes
-   go to stderr so the stdout ledger stays byte-identical with and
-   without observability. *)
-let with_observability ~trace ~metrics f =
-  let module Tr = Perple_util.Trace_event in
-  let module Mx = Perple_util.Metrics in
-  let tsink = Option.map (fun _ -> Tr.create_sink ()) trace in
-  let msink = Option.map (fun _ -> Mx.create_sink ()) metrics in
-  Option.iter Tr.install tsink;
-  Option.iter Mx.install msink;
-  let result =
-    Fun.protect
-      ~finally:(fun () ->
-        Tr.uninstall ();
-        Mx.uninstall ())
-      f
-  in
-  (match (trace, tsink) with
-  | Some path, Some sink ->
-    Tr.write sink ~path;
-    Printf.eprintf "perple: wrote %d trace events to %s\n%!"
-      (Tr.length sink) path
-  | _ -> ());
-  (match (metrics, msink) with
-  | Some path, Some sink ->
-    Mx.write sink ~path;
-    Printf.eprintf "perple: wrote metrics summary to %s\n%!" path
-  | _ -> ());
-  result
-
-let wrap f =
-  let report = function Ok () -> () | Error m -> usage_error m in
-  Term.(const report $ f)
-
-(* --- durability: campaign journal and resume ------------------------------ *)
-
-module Journal = Perple_util.Journal
-module Ledger = Perple_core.Ledger
+let jobs_arg =
+  bounded 1 "--jobs"
+    Arg.(
+      value & opt int 1
+      & info [ "jobs"; "j" ] ~docv:"N"
+          ~doc:
+            "Distribute campaign runs over $(docv) domains (positive).  \
+             Per-run seeds are pre-split from the campaign seed, so output \
+             is bit-identical for every $(docv).")
 
 let journal_arg =
   Arg.(
@@ -188,162 +161,317 @@ let journal_arg =
            can be continued with $(b,--resume).  Refuses to overwrite an \
            existing journal unless resuming.")
 
-let resume_arg =
-  Arg.(
-    value & flag
-    & info [ "resume" ]
-        ~doc:
-          "Continue the campaign recorded in $(b,--journal): journaled runs \
-           are replayed from the journal and only the missing ones execute.  \
-           Per-run seeds are pre-split from the campaign seed, so the \
-           resumed ledger is byte-identical to an uninterrupted one.  The \
-           journal must match this command's configuration digest.")
+type journal = { path : string; resume : bool }
 
-type 'a campaign_journal = {
-  cj_completed : (int, 'a) Hashtbl.t;
-  cj_journal : Journal.t option;
-  cj_path : string option;
+(* Every resumable subcommand (run, supervise, crash-suite) takes its
+   journal through this term, so --resume without --journal fails
+   immediately with the same actionable message. *)
+let journal_term =
+  let resume_arg =
+    Arg.(
+      value & flag
+      & info [ "resume" ]
+          ~doc:
+            "Continue the campaign recorded in $(b,--journal): journaled \
+             runs are replayed from the journal and only the missing ones \
+             execute.  Per-run seeds are pre-split from the campaign seed, \
+             so the resumed ledger is byte-identical to an uninterrupted \
+             one.  The journal must match this command's configuration \
+             digest.")
+  in
+  let pick journal resume =
+    match journal with
+    | Some path -> Some { path; resume }
+    | None when resume ->
+      usage_error
+        "--resume requires --journal FILE: resume continues the campaign \
+         recorded in that journal, so pass the same --journal path the \
+         interrupted command used"
+    | None -> None
+  in
+  Term.(const pick $ journal_arg $ resume_arg)
+
+type campaign = {
+  test : Ast.t;
+  iterations : int;
+  seed : int;
+  model : Config.model;
+  stress : int;
+  runs : int;
+  jobs : int;
+  journal : journal option;
 }
 
-let journal_errors f =
+(* The spec every campaign command shares; [runs] carries the command's
+   own default and doc. *)
+let campaign_term runs =
+  let make test (iterations, seed, runs) model stress jobs journal =
+    { test; iterations; seed; model; stress; runs; jobs; journal }
+  in
+  Term.(
+    const make $ test_arg $ sizes_term runs $ model_arg $ stress_arg
+    $ jobs_arg $ journal_term)
+
+(* --- output files --------------------------------------------------------- *)
+
+(* Refuse an output path whose directory is missing, or that names a file
+   where a directory is wanted (or the reverse), before any work. *)
+let output_path ~dir flag path =
+  let refuse why = usage_error (Printf.sprintf "%s %s: %s" flag path why) in
+  let parent = Filename.dirname path in
+  if Sys.file_exists path then
+    if Sys.is_directory path = dir then path
+    else refuse (if dir then "not a directory" else "is a directory")
+  else if not (Sys.file_exists parent) then
+    refuse (Printf.sprintf "directory %s does not exist" parent)
+  else if not (Sys.is_directory parent) then
+    refuse (Printf.sprintf "%s is not a directory" parent)
+  else path
+
+(* Turn an I/O exception from [f] into a classified error. *)
+let io_errors what f =
   try f () with
   | Unix.Unix_error (e, op, arg) ->
-    fail "journal: %s %s: %s" op arg (Unix.error_message e)
-  | Sys_error m -> fail "journal: %s" m
+    fail "%s: %s %s: %s" what op arg (Unix.error_message e)
+  | Sys_error m -> fail "%s: %s" what m
+
+(* --- observability -------------------------------------------------------- *)
+
+type observe = { trace : string option; metrics : string option }
+
+let observe_term =
+  let file long doc =
+    let check = Option.map (output_path ~dir:false ("--" ^ long)) in
+    Term.(
+      const check
+      $ Arg.(value & opt (some string) None & info [ long ] ~docv:"FILE" ~doc))
+  in
+  Term.(
+    const (fun trace metrics -> { trace; metrics })
+    $ file "trace"
+        "Record spans across the pipeline (engine, machine, counters, \
+         supervisor, pool) and write them to $(docv) as Chrome trace-event \
+         JSON (loadable in chrome://tracing or Perfetto).  Observation \
+         only: the printed ledger is byte-identical with or without \
+         tracing."
+    $ file "metrics"
+        "Write a JSON summary of deterministic pipeline counters (machine \
+         rounds, counter evaluations, supervisor retries, ...) to $(docv).  \
+         The summary is bit-identical for any $(b,--jobs) value and with or \
+         without $(b,--trace).")
+
+(* Install ambient sinks for [f], then write the requested files; a file
+   that cannot be written fails the command.  Notes go to stderr so the
+   stdout ledger stays byte-identical with and without observability. *)
+let with_observability obs f =
+  let module Tr = Perple_util.Trace_event in
+  let module Mx = Perple_util.Metrics in
+  let tsink = Option.map (fun _ -> Tr.create_sink ()) obs.trace in
+  let msink = Option.map (fun _ -> Mx.create_sink ()) obs.metrics in
+  Option.iter Tr.install tsink;
+  Option.iter Mx.install msink;
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        Tr.uninstall ();
+        Mx.uninstall ())
+      f
+  in
+  let written =
+    io_errors "--trace/--metrics" @@ fun () ->
+    (match (obs.trace, tsink) with
+    | Some path, Some sink ->
+      Tr.write sink ~path;
+      Printf.eprintf "perple: wrote %d trace events to %s\n%!"
+        (Tr.length sink) path
+    | _ -> ());
+    (match (obs.metrics, msink) with
+    | Some path, Some sink ->
+      Mx.write sink ~path;
+      Printf.eprintf "perple: wrote metrics summary to %s\n%!" path
+    | _ -> ());
+    Ok ()
+  in
+  match written with Error m when Result.is_ok result -> Error m | _ -> result
+
+let wrap f =
+  let report = function Ok () -> () | Error m -> usage_error m in
+  Term.(const report $ f)
+
+(* --- durability: campaign journal and resume ------------------------------ *)
+
+module Journal = Perple_util.Journal
+module Ledger = Perple_core.Ledger
+
+(* How a journal stores one unit of a campaign: run/supervise journal one
+   record of kind "run" per run, crash-suite one of kind "point" per
+   crash point. *)
+type 'a records = {
+  kind : string;
+  what : string;  (* the units, plural, for messages *)
+  of_record : Perple_util.Json.t -> ('a, string) result;
+  to_record : 'a -> Perple_util.Json.t;
+  index_of : 'a -> int;
+}
 
 (* Validate and ingest a journal being resumed: header digest and unit
-   count must match this command, and every record must parse
-   ([of_record]) and pass the command's own [validate] (run campaigns
-   check the journaled seed against the pre-split one; crash suites are
-   deterministic and need no extra check).  Shared by the per-run
-   journals of run/supervise (kind "run") and the per-crash-point
-   journal of crash-suite (kind "point").  Damaged trailing bytes were
-   already dropped by {!Journal.load}; compaction below rewrites the
-   file without them (and without interrupted markers) before reopening
-   for append. *)
-let ingest_journal ~path ~command ~digest ~runs ~what ~record_kind
-    ~of_record ~to_record ~index_of ~validate recovery =
+   count must match this command, and every record must parse and pass
+   the command's own [validate] (run campaigns check the journaled seed
+   against the pre-split one; crash suites are deterministic and need no
+   extra check).  Damaged trailing bytes were already dropped by
+   {!Journal.load}; compaction below rewrites the file without them (and
+   without interrupted markers) before reopening for append. *)
+let ingest_journal ~path ~command ~digest ~runs ~records ~validate recovery =
   let open Journal in
   if recovery.dropped_bytes > 0 then
     Printf.eprintf
       "perple: journal %s: dropped %d damaged trailing bytes (kept %d \
        intact)\n%!"
       path recovery.dropped_bytes recovery.valid_bytes;
-  match recovery.records with
-  | [] -> fail "cannot resume: journal %s holds no intact records" path
-  | header :: rest -> (
-    match Ledger.parse_header header with
-    | Error m -> fail "cannot resume: %s" m
-    | Ok h ->
-      if h.Ledger.h_command <> command then
-        fail
-          "cannot resume: journal %s was written by 'perple %s', not \
-           'perple %s'"
-          path h.Ledger.h_command command
-      else if h.Ledger.h_digest <> digest then
-        fail
-          "cannot resume: journal %s was written under a different \
-           configuration; rerun with the original arguments (only --jobs, \
-           --trace and --metrics may change)"
-          path
-      else if h.Ledger.h_runs <> runs then
-        fail "cannot resume: journal %s covers %d %s, this command asks \
-              for %d"
-          path h.Ledger.h_runs what runs
-      else begin
-        let completed = Hashtbl.create 16 in
-        let rec ingest = function
-          | [] -> Ok ()
-          | r :: rest -> (
-            match Ledger.kind r with
-            | Some "interrupted" -> ingest rest
-            | Some k when k = record_kind -> (
-              match of_record r with
-              | Error m -> fail "cannot resume: %s" m
-              | Ok s ->
-                let i = index_of s in
-                if i < 0 || i >= runs then
-                  fail "cannot resume: journal %s has %s index %d out of \
-                        range"
-                    path record_kind i
-                else begin
-                  match validate i s with
-                  | Error _ as e -> e
-                  | Ok () ->
-                    Hashtbl.replace completed i s;
-                    ingest rest
-                end)
-            | Some k ->
-              fail "cannot resume: journal %s has an unexpected %S record"
-                path k
-            | None ->
-              fail "cannot resume: journal %s has a record without a kind"
-                path)
-        in
-        match ingest rest with
-        | Error _ as e -> e
-        | Ok () ->
-          let indices =
-            List.sort compare
-              (Hashtbl.fold (fun i _ acc -> i :: acc) completed [])
-          in
-          Journal.compact ~path
-            (header
-            :: List.map
-                 (fun i -> to_record (Hashtbl.find completed i))
-                 indices);
-          let j = Journal.open_append path in
-          Printf.eprintf "perple: resuming: %d of %d %s journaled in %s\n%!"
-            (Hashtbl.length completed) runs what path;
-          Ok
-            {
-              cj_completed = completed;
-              cj_journal = Some j;
-              cj_path = Some path;
-            }
-      end)
+  let cannot_resume r = Result.map_error (( ^ ) "cannot resume: ") r in
+  let* header, rest =
+    match recovery.records with
+    | [] -> fail "cannot resume: journal %s holds no intact records" path
+    | header :: rest -> Ok (header, rest)
+  in
+  let* h = cannot_resume (Ledger.parse_header header) in
+  let* () =
+    if h.Ledger.h_command <> command then
+      fail
+        "cannot resume: journal %s was written by 'perple %s', not 'perple \
+         %s'"
+        path h.Ledger.h_command command
+    else if h.Ledger.h_digest <> digest then
+      fail
+        "cannot resume: journal %s was written under a different \
+         configuration; rerun with the original arguments (only --jobs, \
+         --trace and --metrics may change)"
+        path
+    else if h.Ledger.h_runs <> runs then
+      fail "cannot resume: journal %s covers %d %s, this command asks for %d"
+        path h.Ledger.h_runs records.what runs
+    else Ok ()
+  in
+  let completed = Hashtbl.create 16 in
+  let ingest r =
+    match Ledger.kind r with
+    | Some "interrupted" -> Ok ()
+    | Some k when k = records.kind ->
+      let* s = cannot_resume (records.of_record r) in
+      let i = records.index_of s in
+      if i < 0 || i >= runs then
+        fail "cannot resume: journal %s has %s index %d out of range" path
+          records.kind i
+      else
+        let* () = validate i s in
+        Ok (Hashtbl.replace completed i s)
+    | Some k ->
+      fail "cannot resume: journal %s has an unexpected %S record" path k
+    | None -> fail "cannot resume: journal %s has a record without a kind" path
+  in
+  let* () =
+    List.fold_left (fun acc r -> Result.bind acc (fun () -> ingest r)) (Ok ())
+      rest
+  in
+  let indices =
+    List.sort compare (Hashtbl.fold (fun i _ acc -> i :: acc) completed [])
+  in
+  Journal.compact ~path
+    (header
+    :: List.map (fun i -> records.to_record (Hashtbl.find completed i)) indices
+    );
+  let j = Journal.open_append path in
+  Printf.eprintf "perple: resuming: %d of %d %s journaled in %s\n%!"
+    (Hashtbl.length completed) runs records.what path;
+  Ok (completed, Some j)
 
-let open_campaign_journal ~journal ~resume ~command ~digest ~runs ~what
-    ~record_kind ~of_record ~to_record ~index_of ~validate =
-  match (journal, resume) with
-  | None, true -> Error resume_requires_journal
-  | None, false ->
-    Ok
-      {
-        cj_completed = Hashtbl.create 1;
-        cj_journal = None;
-        cj_path = None;
-      }
-  | Some path, false ->
+let open_journal ~journal ~command ~digest ~runs ~records ~validate =
+  match journal with
+  | None -> Ok (Hashtbl.create 1, None)
+  | Some { path; resume = false } ->
     if Sys.file_exists path then
       fail
         "journal %s already exists; pass --resume to continue it or remove \
          it first"
         path
     else
-      journal_errors @@ fun () ->
+      io_errors "journal" @@ fun () ->
       let j = Journal.create path in
       Journal.append j
         (Ledger.header_to_json
            { Ledger.h_command = command; h_digest = digest; h_runs = runs });
-      Ok
-        {
-          cj_completed = Hashtbl.create 16;
-          cj_journal = Some j;
-          cj_path = Some path;
-        }
-  | Some path, true -> (
-    journal_errors @@ fun () ->
+      Ok (Hashtbl.create 16, Some j)
+  | Some { path; resume = true } -> (
+    io_errors "journal" @@ fun () ->
     match Journal.load path with
     | Error m -> fail "cannot resume: %s" m
     | Ok recovery ->
-      ingest_journal ~path ~command ~digest ~runs ~what ~record_kind
-        ~of_record ~to_record ~index_of ~validate recovery)
+      ingest_journal ~path ~command ~digest ~runs ~records ~validate
+        recovery)
+
+(* While a journaled campaign runs, SIGINT/SIGTERM flush an interrupted
+   marker (via the handler-safe {!Journal.try_append}) and point at
+   --resume; completed runs are already on disk, fsync'd. *)
+let with_journal_signals ~path j ~runs ~what ~journaled f =
+  let handler signum =
+    ignore (Journal.try_append j Ledger.interrupted_marker);
+    Printf.eprintf
+      "\n\
+       perple: interrupted: %d of %d %s journaled in %s\n\
+       perple: rerun the same command with --resume to finish the \
+       campaign\n\
+       %!"
+      !journaled runs what path;
+    Stdlib.exit (if signum = Sys.sigint then 130 else 143)
+  in
+  let old_int = Sys.signal Sys.sigint (Sys.Signal_handle handler) in
+  let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle handler) in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.set_signal Sys.sigint old_int;
+      Sys.set_signal Sys.sigterm old_term;
+      Journal.close j)
+    f
+
+(* The journaled campaign driver: open or resume the journal, let
+   [replay] see the journaled units, [execute ~skip ~on_record] the rest
+   while journaling each unit as it retires, and return every unit's
+   record in index order, journaled or fresh. *)
+let journaled_campaign ~journal ~command ~digest ~runs ~records ~validate
+    ?(replay = fun _ -> Ok ()) execute =
+  let* completed, j =
+    open_journal ~journal ~command ~digest ~runs ~records ~validate
+  in
+  let* () = replay completed in
+  let journaled = ref (Hashtbl.length completed) in
+  let on_record =
+    Option.map
+      (fun j r ->
+        Journal.append j (records.to_record r);
+        incr journaled)
+      j
+  in
+  let skip i = Hashtbl.mem completed i in
+  let run () = execute ~skip ~on_record in
+  let* fresh =
+    io_errors "journal" (fun () ->
+        match (journal, j) with
+        | Some { path; _ }, Some j ->
+          with_journal_signals ~path j ~runs ~what:records.what ~journaled run
+        | _ -> run ())
+  in
+  Ok
+    (Array.init runs (fun i ->
+         match fresh.(i) with
+         | Some r -> r
+         | None -> Hashtbl.find completed i))
+
+let test_digest test = Digest.to_hex (Digest.string (Printer.to_string test))
 
 (* Resume replays the metrics of journaled runs instead of re-executing
    them; additions are commutative, so merging them up front keeps the
    final --metrics dump byte-identical to an uninterrupted campaign. *)
-let merge_journaled_metrics cj =
+let merge_journaled_metrics completed =
   match Perple_util.Metrics.active () with
   | None -> Ok ()
   | Some sink ->
@@ -355,41 +483,27 @@ let merge_journaled_metrics cj =
           match Perple_util.Metrics.merge_json sink m with
           | Ok () -> Ok ()
           | Error e -> fail "journal: run %d: %s" i e))
-      cj.cj_completed (Ok ())
+      completed (Ok ())
 
-(* While a journaled campaign runs, SIGINT/SIGTERM flush an interrupted
-   marker (via the handler-safe {!Journal.try_append}) and point at
-   --resume; completed runs are already on disk, fsync'd. *)
-let with_journal_signals cj ~runs ~what ~journaled f =
-  match (cj.cj_journal, cj.cj_path) with
-  | Some j, Some path ->
-    let handler signum =
-      ignore (Journal.try_append j Ledger.interrupted_marker);
-      Printf.eprintf
-        "\n\
-         perple: interrupted: %d of %d %s journaled in %s\n\
-         perple: rerun the same command with --resume to finish the \
-         campaign\n\
-         %!"
-        !journaled runs what path;
-      Stdlib.exit (if signum = Sys.sigint then 130 else 143)
-    in
-    let old_int = Sys.signal Sys.sigint (Sys.Signal_handle handler) in
-    let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle handler) in
-    Fun.protect
-      ~finally:(fun () ->
-        Sys.set_signal Sys.sigint old_int;
-        Sys.set_signal Sys.sigterm old_term;
-        Journal.close j)
-      f
-  | _ -> f ()
-
-(* The shared campaign driver: open/resume the journal, skip journaled
-   runs, journal each retiring run, and return one summary per run —
-   journaled or freshly computed — for the printers. *)
-let campaign_summaries ~journal ~resume ~command ~digest ~runs ~seed ~execute
-    =
-  let seeds = Engine.campaign_seeds ~runs ~seed in
+(* The campaign body [run] and [supervise] share: execute the runs the
+   journal lacks under [config] and [print] one summary per run.
+   [params] are the command's own digest entries; framed by the spec's,
+   they hash in the order older journals did, so those journals still
+   resume. *)
+let run_campaign ~command ~params ~config ?policy ?counter ?outcomes
+    ?exhaustive_cap ~print c =
+  let digest =
+    Ledger.digest_of_params
+      ([
+         ("command", command);
+         ("test", test_digest c.test);
+         ("iterations", string_of_int c.iterations);
+         ("seed", string_of_int c.seed);
+       ]
+      @ params
+      @ [ ("runs", string_of_int c.runs) ])
+  in
+  let seeds = Engine.campaign_seeds ~runs:c.runs ~seed:c.seed in
   let validate i (s : Ledger.t) =
     if s.Ledger.seed <> seeds.(i) then
       fail
@@ -398,42 +512,27 @@ let campaign_summaries ~journal ~resume ~command ~digest ~runs ~seed ~execute
         i s.Ledger.seed seeds.(i)
     else Ok ()
   in
-  Result.bind
-    (open_campaign_journal ~journal ~resume ~command ~digest ~runs
-       ~what:"runs" ~record_kind:"run" ~of_record:Ledger.of_json
-       ~to_record:Ledger.to_json
-       ~index_of:(fun (s : Ledger.t) -> s.Ledger.index)
-       ~validate)
-  @@ fun cj ->
-  Result.bind (merge_journaled_metrics cj) @@ fun () ->
-  let journaled = ref (Hashtbl.length cj.cj_completed) in
-  let on_entry =
-    match cj.cj_journal with
-    | None -> None
-    | Some j ->
-      Some
-        (fun entry ->
-          Journal.append j (Ledger.to_json (Ledger.of_entry entry));
-          incr journaled)
+  let execute ~skip ~on_record =
+    let on_entry = Option.map (fun f e -> f (Ledger.of_entry e)) on_record in
+    match
+      Engine.campaign_entries ~config ?policy ?counter ?outcomes
+        ?exhaustive_cap ~stress_threads:c.stress ~jobs:c.jobs ~skip
+        ?on_entry ~runs:c.runs ~seed:c.seed ~iterations:c.iterations c.test
+    with
+    | Error r -> fail "%s" (Format.asprintf "%a" Convert.pp_reason r)
+    | Ok entries -> Ok (Array.map (Option.map Ledger.of_entry) entries)
   in
-  let skip i = Hashtbl.mem cj.cj_completed i in
-  match
-    journal_errors (fun () ->
-        Result.map_error
-          (fun r -> Format.asprintf "%a" Convert.pp_reason r)
-          (with_journal_signals cj ~runs ~what:"runs" ~journaled (fun () ->
-               execute ~skip ~on_entry)))
-  with
-  | Error _ as e -> e
-  | Ok entries ->
-    Ok
-      (Array.init runs (fun i ->
-           match entries.(i) with
-           | Some e -> Ledger.of_entry e
-           | None -> (
-             match Hashtbl.find_opt cj.cj_completed i with
-             | Some s -> s
-             | None -> assert false)))
+  Result.map print
+    (journaled_campaign ~journal:c.journal ~command ~digest ~runs:c.runs
+       ~records:
+         {
+           kind = "run";
+           what = "runs";
+           of_record = Ledger.of_json;
+           to_record = Ledger.to_json;
+           index_of = (fun (s : Ledger.t) -> s.Ledger.index);
+         }
+       ~validate ~replay:merge_journaled_metrics execute)
 
 (* --- list ---------------------------------------------------------------- *)
 
@@ -460,28 +559,26 @@ let list_cmd =
 (* --- show ---------------------------------------------------------------- *)
 
 let show_cmd =
-  let run spec =
-    Result.map
-      (fun test ->
-        print_string (Printer.to_string test);
-        Printf.printf "\n%s\n" (Printer.summary test);
-        (match
-           ( test.Ast.condition.Ast.quantifier,
-             Operational.condition_verdict Operational.Tso test )
-         with
-        | Ast.Forall, Ok holds ->
-          Printf.printf "forall condition under x86-TSO: %s\n"
-            (if holds then "holds in every execution" else "violated")
-        | (Ast.Exists | Ast.Not_exists), Ok allowed ->
-          Printf.printf "target under x86-TSO: %s\n"
-            (if allowed then "allowed" else "forbidden")
-        | _, Error m -> Printf.printf "target under x86-TSO: n/a (%s)\n" m);
-        match Convert.convert test with
-        | Ok _ -> print_endline "convertible to perpetual form: yes"
-        | Error r ->
-          Format.printf "convertible to perpetual form: no (%a)@."
-            Convert.pp_reason r)
-      (load_test spec)
+  let run test =
+    print_string (Printer.to_string test);
+    Printf.printf "\n%s\n" (Printer.summary test);
+    (match
+       ( test.Ast.condition.Ast.quantifier,
+         Operational.condition_verdict Operational.Tso test )
+     with
+    | Ast.Forall, Ok holds ->
+      Printf.printf "forall condition under x86-TSO: %s\n"
+        (if holds then "holds in every execution" else "violated")
+    | (Ast.Exists | Ast.Not_exists), Ok allowed ->
+      Printf.printf "target under x86-TSO: %s\n"
+        (if allowed then "allowed" else "forbidden")
+    | _, Error m -> Printf.printf "target under x86-TSO: n/a (%s)\n" m);
+    (match Convert.convert test with
+    | Ok _ -> print_endline "convertible to perpetual form: yes"
+    | Error r ->
+      Format.printf "convertible to perpetual form: no (%a)@."
+        Convert.pp_reason r);
+    Ok ()
   in
   Cmd.v (Cmd.info "show" ~doc:"Print a test in litmus7 format with analysis.")
     (wrap Term.(const run $ test_arg))
@@ -497,13 +594,12 @@ let backend_name = function
 
 let backend_arg =
   let backend_conv =
-    Arg.conv
-      ( (function
-         | "operational" -> Ok Operational_b
-         | "axiomatic" -> Ok Axiomatic_b
-         | "solver" -> Ok Solver_b
-         | _ -> Error (`Msg "expected operational, axiomatic or solver")),
-        fun ppf b -> Format.pp_print_string ppf (backend_name b) )
+    enum_conv ~expected:"operational, axiomatic or solver"
+      (fun s ->
+        List.find_opt
+          (fun b -> backend_name b = s)
+          [ Operational_b; Axiomatic_b; Solver_b ])
+      backend_name
   in
   Arg.(
     value
@@ -618,9 +714,8 @@ let check_cmd =
       [ Operational.Sc; Operational.Tso; Operational.Pso ];
     Ok ()
   in
-  let run spec backend crosscheck_flag =
-    Result.bind (load_test spec) (fun test ->
-        if crosscheck_flag then crosscheck test else check_one backend test)
+  let run test backend crosscheck_flag =
+    if crosscheck_flag then crosscheck test else check_one backend test
   in
   Cmd.v
     (Cmd.info "check"
@@ -632,45 +727,44 @@ let check_cmd =
 (* --- convert ------------------------------------------------------------- *)
 
 let convert_cmd =
-  let run spec =
-    Result.bind (load_test spec) (fun test ->
-        match Convert.convert test with
-        | Error r -> fail "%s" (Format.asprintf "%a" Convert.pp_reason r)
-        | Ok conv ->
-          Printf.printf "Perpetual version of %s:\n" test.Ast.name;
-          Array.iteri
-            (fun t (program : Perple_sim.Program.thread) ->
-              Printf.printf "  thread %d (%d loads/iteration):\n" t
-                conv.Convert.t_reads.(t);
-              Array.iter
-                (fun instr ->
-                  Format.printf "    %a@."
-                    (Perple_sim.Program.pp_instr
-                       ~location_names:
-                         conv.Convert.image.Perple_sim.Program.location_names)
-                    instr)
-                program.Perple_sim.Program.body)
-            conv.Convert.image.Perple_sim.Program.programs;
-          List.iter
-            (fun x ->
-              Printf.printf "  k_%s = %d\n" x
-                (List.length (Ast.store_constants test x)))
-            (Ast.locations test);
-          print_endline "Perpetual outcomes (step 4 inequalities):";
-          List.iter
-            (fun o ->
-              match Outcome_convert.convert conv o with
-              | Ok c ->
-                Printf.printf "  %-12s %s\n" (Outcome.short_label o)
-                  (Outcome_convert.describe conv c);
-                let plan = Outcome_convert.heuristic_plan conv c in
-                Printf.printf "  %-12s heuristic: %s\n" ""
-                  (Outcome_convert.describe_heuristic conv c plan)
-              | Error m ->
-                Printf.printf "  %-12s (not convertible: %s)\n"
-                  (Outcome.short_label o) m)
-            (Outcome.all test);
-          Ok ())
+  let run test =
+    match Convert.convert test with
+    | Error r -> fail "%s" (Format.asprintf "%a" Convert.pp_reason r)
+    | Ok conv ->
+      Printf.printf "Perpetual version of %s:\n" test.Ast.name;
+      Array.iteri
+        (fun t (program : Perple_sim.Program.thread) ->
+          Printf.printf "  thread %d (%d loads/iteration):\n" t
+            conv.Convert.t_reads.(t);
+          Array.iter
+            (fun instr ->
+              Format.printf "    %a@."
+                (Perple_sim.Program.pp_instr
+                   ~location_names:
+                     conv.Convert.image.Perple_sim.Program.location_names)
+                instr)
+            program.Perple_sim.Program.body)
+        conv.Convert.image.Perple_sim.Program.programs;
+      List.iter
+        (fun x ->
+          Printf.printf "  k_%s = %d\n" x
+            (List.length (Ast.store_constants test x)))
+        (Ast.locations test);
+      print_endline "Perpetual outcomes (step 4 inequalities):";
+      List.iter
+        (fun o ->
+          match Outcome_convert.convert conv o with
+          | Ok c ->
+            Printf.printf "  %-12s %s\n" (Outcome.short_label o)
+              (Outcome_convert.describe conv c);
+            let plan = Outcome_convert.heuristic_plan conv c in
+            Printf.printf "  %-12s heuristic: %s\n" ""
+              (Outcome_convert.describe_heuristic conv c plan)
+          | Error m ->
+            Printf.printf "  %-12s (not convertible: %s)\n"
+              (Outcome.short_label o) m)
+        (Outcome.all test);
+      Ok ()
   in
   Cmd.v
     (Cmd.info "convert"
@@ -679,43 +773,18 @@ let convert_cmd =
 
 (* --- run ----------------------------------------------------------------- *)
 
-let counter_name = function
-  | Engine.Heuristic -> "heuristic"
-  | Engine.Exhaustive -> "exhaustive"
-  | Engine.Exhaustive_reference -> "exhaustive-reference"
-
 let counter_arg =
-  let counter_conv =
-    Arg.conv
-      ( (function
-         | "heur" | "heuristic" -> Ok Engine.Heuristic
-         | "exh" | "exhaustive" -> Ok Engine.Exhaustive
-         | "exh-ref" | "reference" -> Ok Engine.Exhaustive_reference
-         | _ -> Error (`Msg "expected heur, exh or exh-ref")),
-        fun ppf c ->
-          Format.pp_print_string ppf
-            (match c with
-            | Engine.Heuristic -> "heur"
-            | Engine.Exhaustive -> "exh"
-            | Engine.Exhaustive_reference -> "exh-ref") )
-  in
   Arg.(
     value
-    & opt counter_conv Engine.Heuristic
+    & opt
+        (enum_conv ~expected:"heur, exh or exh-ref" Engine.counter_of_name
+           Engine.counter_wire_name)
+        Engine.Heuristic
     & info [ "counter" ] ~docv:"COUNTER"
         ~doc:
           "Outcome counter: $(b,heur) (linear), $(b,exh) (full N^TL frame \
            space via the factorized kernel) or $(b,exh-ref) (the naive \
            N^TL odometer, for fidelity/correctness baselines).")
-
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Distribute campaign runs over $(docv) domains.  Per-run seeds \
-           are pre-split from the campaign seed, so output is \
-           bit-identical for every $(docv).")
 
 let all_outcomes_arg =
   Arg.(
@@ -724,28 +793,26 @@ let all_outcomes_arg =
         ~doc:"Count every possible outcome, not just the target.")
 
 let cap_arg =
-  Arg.(
-    value
-    & opt int 250_000_000
-    & info [ "cap" ] ~docv:"FRAMES"
-        ~doc:
-          "Frame budget for the exhaustive counter; the run length is \
-           capped to stay within it (the cap is reported, not silent).")
+  bounded 1 "--cap"
+    Arg.(
+      value
+      & opt int 250_000_000
+      & info [ "cap" ] ~docv:"FRAMES"
+          ~doc:
+            "Frame budget for the exhaustive counter (positive); the run \
+             length is capped to stay within it (the cap is reported, not \
+             silent).")
+
+let detection_rate targets runtime =
+  if runtime = 0 then 0.0
+  else float_of_int targets /. float_of_int runtime *. 1_000_000.0
 
 let run_cmd =
-  let runs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "runs" ] ~docv:"R"
-          ~doc:
-            "Run a campaign of $(docv) independent runs (seeds pre-split \
-             from $(b,--seed)) instead of a single run.")
-  in
-  let print_single counter model report =
+  let print_single c counter report =
     Printf.printf "PerpLE run of %s: %d iterations, %s counter, model %s\n"
       report.Engine.conversion.Convert.test.Ast.name
       report.Engine.run.Perple_harness.Perpetual.iterations
-      (counter_name counter) (Config.model_name model);
+      (Engine.counter_name counter) (Config.model_name c.model);
     if
       report.Engine.run.Perple_harness.Perpetual.iterations
       <> report.Engine.requested_iterations
@@ -766,19 +833,18 @@ let run_cmd =
       report.Engine.frames_examined report.Engine.virtual_runtime
       (Engine.detection_rate report)
   in
-  let print_campaign ~test ~runs ~iterations ~counter ~model
-      (summaries : Ledger.t array) =
+  let print_campaign c counter (summaries : Ledger.t array) =
     Printf.printf
       "PerpLE campaign of %s: %d runs x %d iterations, %s counter, model \
        %s\n"
-      test.Ast.name runs iterations (counter_name counter)
-      (Config.model_name model);
+      c.test.Ast.name c.runs c.iterations (Engine.counter_name counter)
+      (Config.model_name c.model);
     let total_targets = ref 0 and total_runtime = ref 0 in
     Array.iteri
       (fun i (s : Ledger.t) ->
         match s.Ledger.crashed with
-        | Some c ->
-          Printf.printf "run %3d  crashed: %s\n" (i + 1) c.Ledger.c_message
+        | Some crash ->
+          Printf.printf "run %3d  crashed: %s\n" (i + 1) crash.Ledger.c_message
         | None ->
           total_targets := !total_targets + Ledger.target_count s;
           total_runtime := !total_runtime + s.Ledger.virtual_runtime;
@@ -792,11 +858,7 @@ let run_cmd =
       "campaign total: %d target occurrences; %d virtual rounds; detection \
        rate %.3f per Mround\n"
       !total_targets !total_runtime
-      (if !total_runtime = 0 then 0.0
-       else
-         float_of_int !total_targets
-         /. float_of_int !total_runtime
-         *. 1_000_000.0)
+      (detection_rate !total_targets !total_runtime)
   in
   let verify_trace_arg =
     Arg.(
@@ -826,131 +888,102 @@ let run_cmd =
         (Operational.model_to_string spec)
         (Option.value ~default:"?" v.Solver.violation)
   in
-  let run spec iterations seed counter model all_outcomes stress cap runs
-      jobs journal resume verify_trace trace metrics =
-    if runs <= 0 then fail "--runs must be positive"
-    else if jobs <= 0 then fail "--jobs must be positive"
-    else if verify_trace && runs <> 1 then
+  let run c counter all_outcomes cap verify_trace obs =
+    if verify_trace && c.runs <> 1 then
       fail "--verify-trace works on a single run (--runs 1)"
+    else if c.journal <> None && c.runs < 2 then
+      fail "--journal records campaigns; it requires --runs >= 2"
     else
-      Result.bind (check_resume ~journal ~resume) @@ fun () ->
-      if journal <> None && runs < 2 then
-        fail "--journal records campaigns; it requires --runs >= 2"
+      with_observability obs @@ fun () ->
+      let config = config_of_model c.model in
+      let outcomes =
+        if all_outcomes then Some (Outcome.all c.test) else None
+      in
+      if c.runs = 1 then
+        match
+          Engine.run ~config ~counter ?outcomes ~exhaustive_cap:cap
+            ~stress_threads:c.stress ~seed:c.seed ~iterations:c.iterations
+            c.test
+        with
+        | Error r -> fail "%s" (Format.asprintf "%a" Convert.pp_reason r)
+        | Ok report ->
+          print_single c counter report;
+          if verify_trace then print_trace_verdict c.model report else Ok ()
       else
-      with_observability ~trace ~metrics @@ fun () ->
-      Result.bind (load_test spec) (fun test ->
-          let outcomes =
-            if all_outcomes then Some (Outcome.all test) else None
-          in
-          if runs = 1 then
-            match
-              Engine.run ~config:(config_of_model model) ~counter ?outcomes
-                ~exhaustive_cap:cap ~stress_threads:stress ~seed ~iterations
-                test
-            with
-            | Error r -> fail "%s" (Format.asprintf "%a" Convert.pp_reason r)
-            | Ok report ->
-              print_single counter model report;
-              if verify_trace then print_trace_verdict model report else Ok ()
-          else
-            let digest =
-              Ledger.digest_of_params
-                [
-                  ("command", "run");
-                  ( "test",
-                    Digest.to_hex (Digest.string (Printer.to_string test)) );
-                  ("iterations", string_of_int iterations);
-                  ("seed", string_of_int seed);
-                  ("counter", counter_name counter);
-                  ("model", Config.model_name model);
-                  ("all_outcomes", string_of_bool all_outcomes);
-                  ("stress", string_of_int stress);
-                  ("cap", string_of_int cap);
-                  ("runs", string_of_int runs);
-                ]
-            in
-            let execute ~skip ~on_entry =
-              Engine.campaign_entries ~config:(config_of_model model)
-                ~counter ?outcomes ~exhaustive_cap:cap ~stress_threads:stress
-                ~jobs ~skip ?on_entry ~runs ~seed ~iterations test
-            in
-            Result.map
-              (print_campaign ~test ~runs ~iterations ~counter ~model)
-              (campaign_summaries ~journal ~resume ~command:"run" ~digest
-                 ~runs ~seed ~execute))
+        run_campaign ~command:"run"
+          ~params:
+            [
+              ("counter", Engine.counter_name counter);
+              ("model", Config.model_name c.model);
+              ("all_outcomes", string_of_bool all_outcomes);
+              ("stress", string_of_int c.stress);
+              ("cap", string_of_int cap);
+            ]
+          ~config ~counter ?outcomes ~exhaustive_cap:cap
+          ~print:(print_campaign c counter) c
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:"Convert a test and run its perpetual version on the simulator.")
     (wrap
        Term.(
-         const run $ test_arg $ iterations_arg $ seed_arg $ counter_arg
-         $ model_arg $ all_outcomes_arg $ stress_arg $ cap_arg $ runs_arg
-         $ jobs_arg $ journal_arg $ resume_arg $ verify_trace_arg $ trace_arg
-         $ metrics_arg))
+         const run
+         $ campaign_term
+             (runs_arg ~default:1
+                "Run a campaign of $(docv) independent runs (positive; seeds \
+                 pre-split from $(b,--seed)) instead of a single run.")
+         $ counter_arg $ all_outcomes_arg $ cap_arg $ verify_trace_arg
+         $ observe_term))
 
 (* --- litmus7 baseline ---------------------------------------------------- *)
 
-let mode_arg =
-  let mode_conv =
-    Arg.conv
-      ( (fun s ->
-          match Sync_mode.of_name s with
-          | Some m -> Ok m
-          | None ->
-            Error
-              (`Msg "expected user, userfence, pthread, timebase or none")),
-        fun ppf m -> Format.pp_print_string ppf (Sync_mode.name m) )
-  in
-  Arg.(
-    value
-    & opt mode_conv Sync_mode.User
-    & info [ "mode" ] ~docv:"MODE" ~doc:"litmus7 synchronisation mode.")
-
 let litmus7_cmd =
-  let run spec iterations seed mode model stress =
-    Result.map
-      (fun test ->
-        let rng = Perple_util.Rng.create seed in
-        let result =
-          Litmus7.run ~config:(config_of_model model) ~stress_threads:stress
-            ~rng ~test ~mode ~iterations ()
-        in
-        Printf.printf "litmus7-style run of %s: %d iterations, %s mode\n"
-          test.Ast.name iterations (Sync_mode.name mode);
-        List.iter
-          (fun (o, n) ->
-            if n > 0 then Printf.printf "  %-24s %d\n" (Outcome.to_string o) n)
-          result.Litmus7.histogram;
-        (match Outcome.of_condition test with
-        | Ok target ->
-          Printf.printf "target occurrences: %d\n"
-            (Litmus7.count result ~partial:target)
-        | Error _ -> ());
-        Printf.printf "virtual runtime: %d rounds\n"
-          result.Litmus7.virtual_runtime)
-      (load_test spec)
+  let mode_arg =
+    Arg.(
+      value
+      & opt
+          (enum_conv ~expected:"user, userfence, pthread, timebase or none"
+             Sync_mode.of_name Sync_mode.name)
+          Sync_mode.User
+      & info [ "mode" ] ~docv:"MODE" ~doc:"litmus7 synchronisation mode.")
+  in
+  let run test (iterations, seed, _) mode model stress =
+    let rng = Perple_util.Rng.create seed in
+    let result =
+      Litmus7.run ~config:(config_of_model model) ~stress_threads:stress ~rng
+        ~test ~mode ~iterations ()
+    in
+    Printf.printf "litmus7-style run of %s: %d iterations, %s mode\n"
+      test.Ast.name iterations (Sync_mode.name mode);
+    List.iter
+      (fun (o, n) ->
+        if n > 0 then Printf.printf "  %-24s %d\n" (Outcome.to_string o) n)
+      result.Litmus7.histogram;
+    (match Outcome.of_condition test with
+    | Ok target ->
+      Printf.printf "target occurrences: %d\n"
+        (Litmus7.count result ~partial:target)
+    | Error _ -> ());
+    Printf.printf "virtual runtime: %d rounds\n" result.Litmus7.virtual_runtime;
+    Ok ()
   in
   Cmd.v
     (Cmd.info "litmus7"
        ~doc:"Run the litmus7-style synchronised baseline on the simulator.")
     (wrap
        Term.(
-         const run $ test_arg $ iterations_arg $ seed_arg $ mode_arg
-         $ model_arg $ stress_arg))
+         const run $ test_arg $ sizes_term (const 1) $ mode_arg $ model_arg
+         $ stress_arg))
 
 (* --- supervise ------------------------------------------------------------ *)
 
-let fault_conv =
-  Arg.conv
-    ( (fun s ->
-        match Fault.of_string s with
-        | Ok f -> Ok f
-        | Error m -> Error (`Msg m)),
-      Fault.pp )
-
 let supervise_cmd =
   let faults_arg =
+    let fault_conv =
+      Arg.conv
+        ( (fun s -> Result.map_error (fun m -> `Msg m) (Fault.of_string s)),
+          Fault.pp )
+    in
     Arg.(
       value & opt_all fault_conv []
       & info [ "fault" ] ~docv:"KIND@PROB"
@@ -960,42 +993,43 @@ let supervise_cmd =
              P; $(b,store-loss\\@P) silently drops each drained store with \
              probability P.")
   in
-  let runs_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "runs" ] ~docv:"R"
-          ~doc:"Number of supervised runs in the campaign.")
-  in
   let watchdog_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "watchdog-rounds" ] ~docv:"ROUNDS"
-          ~doc:
-            "Abort an attempt past this many virtual rounds (default: \
-             64*N + 10000).")
+    Term.(
+      const (Option.map (at_least 1 "--watchdog-rounds"))
+      $ Arg.(
+          value & opt (some int) None
+          & info [ "watchdog-rounds" ] ~docv:"ROUNDS"
+              ~doc:
+                "Abort an attempt past this many virtual rounds (positive; \
+                 default: 64*N + 10000)."))
   in
   let min_retired_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "min-retired" ] ~docv:"K"
-          ~doc:
-            "Smallest salvageable prefix: an aborted attempt with at least \
-             $(docv) retired iterations is accepted as truncated (default: \
-             N/100).")
+    Term.(
+      const (Option.map (at_least 0 "--min-retired"))
+      $ Arg.(
+          value & opt (some int) None
+          & info [ "min-retired" ] ~docv:"K"
+              ~doc:
+                "Smallest salvageable prefix (non-negative): an aborted \
+                 attempt with at least $(docv) retired iterations is \
+                 accepted as truncated (default: N/100)."))
   in
   let retries_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "max-retries" ] ~docv:"R"
-          ~doc:"Retries per run after the first attempt.")
+    bounded 0 "--max-retries"
+      Arg.(
+        value & opt int 3
+        & info [ "max-retries" ] ~docv:"R"
+            ~doc:"Retries per run after the first attempt (non-negative).")
   in
   let backoff_arg =
-    Arg.(
-      value & opt float 0.5
-      & info [ "backoff" ] ~docv:"F"
-          ~doc:
-            "Iteration-budget multiplier per retry (> 0): < 1 retries \
-             with a shrunken budget, > 1 grows it.")
+    Term.(
+      const (fun f -> if f > 0.0 then f else must_be "--backoff" "positive")
+      $ Arg.(
+          value & opt float 0.5
+          & info [ "backoff" ] ~docv:"F"
+              ~doc:
+                "Iteration-budget multiplier per retry (> 0): < 1 retries \
+                 with a shrunken budget, > 1 grows it."))
   in
   (* The ledger is printed sequentially from per-run summaries, in run
      order — the same summaries the journal stores, so a resumed
@@ -1067,72 +1101,45 @@ let supervise_cmd =
       "total target occurrences: %d; total virtual runtime: %d rounds; \
        detection rate: %.3f per Mround\n"
       !total_targets !total_runtime
-      (if !total_runtime = 0 then 0.0
-       else
-         float_of_int !total_targets
-         /. float_of_int !total_runtime
-         *. 1_000_000.0)
+      (detection_rate !total_targets !total_runtime)
   in
-  let run spec iterations seed model stress faults runs watchdog min_retired
-      retries backoff jobs journal resume trace metrics =
-    if runs <= 0 then fail "--runs must be positive"
-    else if jobs <= 0 then fail "--jobs must be positive"
-    else if backoff <= 0.0 then fail "--backoff must be positive"
-    else
-      Result.bind (check_resume ~journal ~resume) @@ fun () ->
-      with_observability ~trace ~metrics @@ fun () ->
-      Result.bind (load_test spec) (fun test ->
-          let config =
-            Config.with_faults faults (config_of_model model)
-          in
-          let base = Supervisor.default_policy ~iterations in
-          let policy =
-            {
-              Supervisor.watchdog_rounds =
-                Option.value watchdog ~default:base.Supervisor.watchdog_rounds;
-              min_retired =
-                Option.value min_retired
-                  ~default:base.Supervisor.min_retired;
-              max_retries = retries;
-              backoff;
-            }
-          in
-          Printf.printf
-            "supervised campaign: %s, %d runs x %d iterations, faults: %s\n"
-            test.Ast.name runs iterations
-            (Fault.profile_to_string faults);
-          Printf.printf
-            "policy: watchdog %d rounds, min retired %d, max retries %d, \
-             backoff %.2f\n"
-            policy.Supervisor.watchdog_rounds policy.Supervisor.min_retired
-            policy.Supervisor.max_retries policy.Supervisor.backoff;
-          let digest =
-            Ledger.digest_of_params
-              [
-                ("command", "supervise");
-                ( "test",
-                  Digest.to_hex (Digest.string (Printer.to_string test)) );
-                ("iterations", string_of_int iterations);
-                ("seed", string_of_int seed);
-                ("model", Config.model_name model);
-                ("stress", string_of_int stress);
-                ("faults", Fault.profile_to_string faults);
-                ( "watchdog_rounds",
-                  string_of_int policy.Supervisor.watchdog_rounds );
-                ("min_retired", string_of_int policy.Supervisor.min_retired);
-                ("max_retries", string_of_int policy.Supervisor.max_retries);
-                ("backoff", Printf.sprintf "%.17g" policy.Supervisor.backoff);
-                ("runs", string_of_int runs);
-              ]
-          in
-          let execute ~skip ~on_entry =
-            Engine.campaign_entries ~config ~policy ~stress_threads:stress
-              ~jobs ~skip ?on_entry ~runs ~seed ~iterations test
-          in
-          Result.map
-            (print_ledger ~iterations)
-            (campaign_summaries ~journal ~resume ~command:"supervise" ~digest
-               ~runs ~seed ~execute))
+  let run c faults watchdog min_retired max_retries backoff obs =
+    with_observability obs @@ fun () ->
+    let base = Supervisor.default_policy ~iterations:c.iterations in
+    let policy =
+      {
+        Supervisor.watchdog_rounds =
+          Option.value watchdog ~default:base.Supervisor.watchdog_rounds;
+        min_retired =
+          Option.value min_retired ~default:base.Supervisor.min_retired;
+        max_retries;
+        backoff;
+      }
+    in
+    Printf.printf
+      "supervised campaign: %s, %d runs x %d iterations, faults: %s\n"
+      c.test.Ast.name c.runs c.iterations
+      (Fault.profile_to_string faults);
+    Printf.printf
+      "policy: watchdog %d rounds, min retired %d, max retries %d, backoff \
+       %.2f\n"
+      policy.Supervisor.watchdog_rounds policy.Supervisor.min_retired
+      policy.Supervisor.max_retries policy.Supervisor.backoff;
+    run_campaign ~command:"supervise"
+      ~params:
+        [
+          ("model", Config.model_name c.model);
+          ("stress", string_of_int c.stress);
+          ("faults", Fault.profile_to_string faults);
+          ("watchdog_rounds", string_of_int policy.Supervisor.watchdog_rounds);
+          ("min_retired", string_of_int policy.Supervisor.min_retired);
+          ("max_retries", string_of_int policy.Supervisor.max_retries);
+          ("backoff", Printf.sprintf "%.17g" policy.Supervisor.backoff);
+        ]
+      ~config:(Config.with_faults faults (config_of_model c.model))
+      ~policy
+      ~print:(print_ledger ~iterations:c.iterations)
+      c
   in
   Cmd.v
     (Cmd.info "supervise"
@@ -1142,10 +1149,12 @@ let supervise_cmd =
           prints the per-run supervision ledger.")
     (wrap
        Term.(
-         const run $ test_arg $ iterations_arg $ seed_arg $ model_arg
-         $ stress_arg $ faults_arg $ runs_arg $ watchdog_arg
-         $ min_retired_arg $ retries_arg $ backoff_arg $ jobs_arg
-         $ journal_arg $ resume_arg $ trace_arg $ metrics_arg))
+         const run
+         $ campaign_term
+             (runs_arg ~default:10
+                "Number of supervised runs in the campaign (positive).")
+         $ faults_arg $ watchdog_arg $ min_retired_arg $ retries_arg
+         $ backoff_arg $ observe_term))
 
 (* --- crash-suite ---------------------------------------------------------- *)
 
@@ -1153,19 +1162,13 @@ module Crashsim = Perple_sim.Crashsim
 module Crash_suite = Perple_core.Crash_suite
 module Persistency = Perple_memmodel.Persistency
 
-let persistency_conv =
-  let parse s =
-    match Config.persistency_of_name s with
-    | Some p -> Ok p
-    | None -> Error (`Msg "expected epoch or eager-bug")
-  in
-  Arg.conv
-    (parse, fun ppf p -> Format.pp_print_string ppf (Config.persistency_name p))
-
 let persistency_arg =
   Arg.(
     value
-    & opt persistency_conv Config.Epoch
+    & opt
+        (enum_conv ~expected:"epoch or eager-bug" Config.persistency_of_name
+           Config.persistency_name)
+        Config.Epoch
     & info [ "persistency" ] ~docv:"MODEL"
         ~doc:
           "Persistency controller model: $(b,epoch) (default: a drain \
@@ -1240,58 +1243,31 @@ let crash_suite_cmd =
              (axiomatic) persistency checker and report whether the two \
              verdicts agree.")
   in
-  let run spec persistency jobs journal resume crosscheck =
-    if jobs <= 0 then fail "--jobs must be positive"
-    else
-      Result.bind (check_resume ~journal ~resume) @@ fun () ->
-      Result.bind (load_test spec) @@ fun test ->
-      let points = Crashsim.crash_points test in
-      let digest =
-        Ledger.digest_of_params
-          [
-            ("command", "crash-suite");
-            ("test", Digest.to_hex (Digest.string (Printer.to_string test)));
-            ("persistency", Config.persistency_name persistency);
-            ("points", string_of_int points);
-          ]
-      in
-      Result.bind
-        (open_campaign_journal ~journal ~resume ~command:"crash-suite"
-           ~digest ~runs:points ~what:"crash points" ~record_kind:"point"
-           ~of_record:Crash_suite.of_json ~to_record:Crash_suite.to_json
-           ~index_of:(fun (r : Crash_suite.record) -> r.Crash_suite.point)
-           ~validate:(fun _ _ -> Ok ()))
-      @@ fun cj ->
-      let journaled = ref (Hashtbl.length cj.cj_completed) in
-      let on_record =
-        match cj.cj_journal with
-        | None -> None
-        | Some j ->
-          Some
-            (fun r ->
-              Journal.append j (Crash_suite.to_json r);
-              incr journaled)
-      in
-      let skip p = Hashtbl.mem cj.cj_completed p in
-      Result.bind
-        (journal_errors (fun () ->
-             Ok
-               (with_journal_signals cj ~runs:points ~what:"crash points"
-                  ~journaled (fun () ->
-                    Crash_suite.evaluate ~jobs ~skip ?on_record ~persistency
-                      test))))
-      @@ fun computed ->
-      let records =
-        Array.init points (fun p ->
-            match computed.(p) with
-            | Some r -> r
-            | None -> (
-              match Hashtbl.find_opt cj.cj_completed p with
-              | Some r -> r
-              | None -> assert false))
-      in
-      print_suite ~test ~persistency ~crosscheck records;
-      Ok ()
+  let run test persistency jobs journal crosscheck =
+    let points = Crashsim.crash_points test in
+    let digest =
+      Ledger.digest_of_params
+        [
+          ("command", "crash-suite");
+          ("test", test_digest test);
+          ("persistency", Config.persistency_name persistency);
+          ("points", string_of_int points);
+        ]
+    in
+    Result.map
+      (print_suite ~test ~persistency ~crosscheck)
+      (journaled_campaign ~journal ~command:"crash-suite" ~digest ~runs:points
+         ~records:
+           {
+             kind = "point";
+             what = "crash points";
+             of_record = Crash_suite.of_json;
+             to_record = Crash_suite.to_json;
+             index_of = (fun (r : Crash_suite.record) -> r.Crash_suite.point);
+           }
+         ~validate:(fun _ _ -> Ok ())
+         (fun ~skip ~on_record ->
+           Ok (Crash_suite.evaluate ~jobs ~skip ?on_record ~persistency test)))
   in
   Cmd.v
     (Cmd.info "crash-suite"
@@ -1302,17 +1278,20 @@ let crash_suite_cmd =
           crash expose inconsistent durable state.")
     (wrap
        Term.(
-         const run $ test_arg $ persistency_arg $ jobs_arg $ journal_arg
-         $ resume_arg $ crosscheck_arg))
+         const run $ test_arg $ persistency_arg $ jobs_arg $ journal_term
+         $ crosscheck_arg))
 
 (* --- emit ---------------------------------------------------------------- *)
 
+(* An output directory: it must exist, or its parent must. *)
+let output_dir_arg default =
+  Term.(
+    const (output_path ~dir:true "-o")
+    $ Arg.(
+        value & opt string default
+        & info [ "o"; "output" ] ~docv:"DIR" ~doc:"Output directory."))
+
 let emit_cmd =
-  let out_arg =
-    Arg.(
-      value & opt string "perple-out"
-      & info [ "o"; "output" ] ~docv:"DIR" ~doc:"Output directory.")
-  in
   let native_arg =
     Arg.(
       value & flag
@@ -1327,98 +1306,103 @@ let emit_cmd =
       & info [ "native-iterations" ] ~docv:"N"
           ~doc:"Iteration count passed to the native harness.")
   in
-  let run spec dir native native_iters =
-    Result.bind (load_test spec) (fun test ->
-        match Convert.convert test with
-        | Error r -> fail "%s" (Format.asprintf "%a" Convert.pp_reason r)
-        | Ok conv -> (
-          match Codegen.all_files conv ~outcomes:(Outcome.all test) with
-          | Error m -> fail "outcome conversion failed: %s" m
-          | Ok files ->
-            Codegen.write_to_dir ~dir files;
-            List.iter
+  let run test dir native native_iters =
+    match Convert.convert test with
+    | Error r -> fail "%s" (Format.asprintf "%a" Convert.pp_reason r)
+    | Ok conv -> (
+      match Codegen.all_files conv ~outcomes:(Outcome.all test) with
+      | Error m -> fail "outcome conversion failed: %s" m
+      | Ok files ->
+        let* () =
+          io_errors "emit" (fun () ->
+              Codegen.write_to_dir ~dir files;
+              Ok ())
+        in
+        List.iter
+          (fun (f : Codegen.file) ->
+            Printf.printf "wrote %s\n"
+              (Filename.concat dir f.Codegen.filename))
+          files;
+        if not native then Ok ()
+        else begin
+          let name =
+            String.map
+              (function
+                | ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_') as c -> c
+                | _ -> '_')
+              test.Ast.name
+          in
+          let sources =
+            List.filter
               (fun (f : Codegen.file) ->
-                Printf.printf "wrote %s\n"
-                  (Filename.concat dir f.Codegen.filename))
-              files;
-            if not native then Ok ()
-            else begin
-              let name =
-                String.map
-                  (function
-                    | ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_') as c -> c
-                    | _ -> '_')
-                  test.Ast.name
-              in
-              let sources =
-                List.filter
-                  (fun (f : Codegen.file) ->
-                    Filename.check_suffix f.Codegen.filename ".c"
-                    || Filename.check_suffix f.Codegen.filename ".s")
-                  files
-              in
-              let cmd =
-                Printf.sprintf "cc -O2 -pthread -o %s %s 2>/dev/null"
-                  (Filename.quote (Filename.concat dir (name ^ "_native")))
-                  (String.concat " "
-                     (List.map
-                        (fun (f : Codegen.file) ->
-                          Filename.quote
-                            (Filename.concat dir f.Codegen.filename))
-                        sources))
-              in
-              if Sys.command cmd <> 0 then
-                fail "native build failed (is a C toolchain available?)"
-              else begin
-                Printf.printf "running native harness (%d iterations)...\n%!"
-                  native_iters;
-                let run_cmd =
-                  Printf.sprintf "%s %d"
-                    (Filename.quote (Filename.concat dir (name ^ "_native")))
-                    native_iters
-                in
-                if Sys.command run_cmd <> 0 then fail "native run failed"
-                else Ok ()
-              end
-            end))
+                Filename.check_suffix f.Codegen.filename ".c"
+                || Filename.check_suffix f.Codegen.filename ".s")
+              files
+          in
+          let cmd =
+            Printf.sprintf "cc -O2 -pthread -o %s %s 2>/dev/null"
+              (Filename.quote (Filename.concat dir (name ^ "_native")))
+              (String.concat " "
+                 (List.map
+                    (fun (f : Codegen.file) ->
+                      Filename.quote
+                        (Filename.concat dir f.Codegen.filename))
+                    sources))
+          in
+          if Sys.command cmd <> 0 then
+            fail "native build failed (is a C toolchain available?)"
+          else begin
+            Printf.printf "running native harness (%d iterations)...\n%!"
+              native_iters;
+            let run_cmd =
+              Printf.sprintf "%s %d"
+                (Filename.quote (Filename.concat dir (name ^ "_native")))
+                native_iters
+            in
+            if Sys.command run_cmd <> 0 then fail "native run failed"
+            else Ok ()
+          end
+        end)
   in
   Cmd.v
     (Cmd.info "emit"
        ~doc:
          "Emit the Converter's x86 assembly, C counters, parameters and \
           harness files.")
-    (wrap Term.(const run $ test_arg $ out_arg $ native_arg $ native_iters_arg))
+    (wrap
+       Term.(
+         const run $ test_arg $ output_dir_arg "perple-out" $ native_arg
+         $ native_iters_arg))
 
 (* --- trace ---------------------------------------------------------------- *)
 
 let trace_cmd =
   let events_arg =
-    Arg.(
-      value & opt int 60
-      & info [ "events" ] ~docv:"K" ~doc:"Number of events to record.")
+    bounded 0 "--events"
+      Arg.(
+        value & opt int 60
+        & info [ "events" ] ~docv:"K"
+            ~doc:"Number of events to record (non-negative).")
   in
-  let run spec iterations seed model events =
-    Result.bind (load_test spec) (fun test ->
-        match Convert.convert test with
-        | Error r -> fail "%s" (Format.asprintf "%a" Convert.pp_reason r)
-        | Ok conv ->
-          let module Trace = Perple_harness.Trace in
-          let trace, _run =
-            Trace.trace_perpetual ~config:(config_of_model model)
-              ~limit:events
-              ~rng:(Perple_util.Rng.create seed)
-              ~image:conv.Convert.image ~t_reads:conv.Convert.t_reads
-              ~iterations ()
-          in
-          Printf.printf
-            "First %d machine events of the perpetual %s run (model %s):\n"
-            (Trace.length trace) test.Ast.name (Config.model_name model);
-          print_string
-            (Trace.render
-               ~location_names:
-                 conv.Convert.image.Perple_sim.Program.location_names
-               trace);
-          Ok ())
+  let run test (iterations, seed, _) model events =
+    match Convert.convert test with
+    | Error r -> fail "%s" (Format.asprintf "%a" Convert.pp_reason r)
+    | Ok conv ->
+      let module Trace = Perple_harness.Trace in
+      let trace, _run =
+        Trace.trace_perpetual ~config:(config_of_model model) ~limit:events
+          ~rng:(Perple_util.Rng.create seed)
+          ~image:conv.Convert.image ~t_reads:conv.Convert.t_reads
+          ~iterations ()
+      in
+      Printf.printf
+        "First %d machine events of the perpetual %s run (model %s):\n"
+        (Trace.length trace) test.Ast.name (Config.model_name model);
+      print_string
+        (Trace.render
+           ~location_names:conv.Convert.image.Perple_sim.Program.location_names
+           trace);
+      Ok ()
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1427,7 +1411,7 @@ let trace_cmd =
           (instruction retirements, buffer drains, stalls).")
     (wrap
        Term.(
-         const run $ test_arg $ iterations_arg $ seed_arg $ model_arg
+         const run $ test_arg $ sizes_term (const 1) $ model_arg
          $ events_arg))
 
 (* --- generate ------------------------------------------------------------ *)
@@ -1506,12 +1490,8 @@ predicted target: SC %s, TSO %s, PSO %s (from cycle shape)
 (* --- export -------------------------------------------------------------- *)
 
 let export_cmd =
-  let dir_arg =
-    Arg.(
-      value & opt string "litmus"
-      & info [ "o"; "output" ] ~docv:"DIR" ~doc:"Output directory.")
-  in
   let run dir =
+    io_errors "export" @@ fun () ->
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     let write test =
       let path = Filename.concat dir (test.Ast.name ^ ".litmus") in
@@ -1527,7 +1507,7 @@ let export_cmd =
   Cmd.v
     (Cmd.info "export"
        ~doc:"Write every catalog test as a .litmus file (litmus7 format).")
-    (wrap Term.(const run $ dir_arg))
+    (wrap Term.(const run $ output_dir_arg "litmus"))
 
 (* --- suite / experiment -------------------------------------------------- *)
 
@@ -1628,81 +1608,78 @@ let serve_cmd =
              connected.")
   in
   let shard_runs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shard-runs" ] ~docv:"N"
-          ~doc:
-            "Runs per leased shard (default: 4 or $(b,--jobs), whichever \
-             is larger).  The in-process worker runs one shard per turn, \
-             so a $(b,kill -9) loses at most one shard of work.  Each \
-             campaign's partition is journaled, so a restart with another \
-             value keeps it.")
+    Term.(
+      const (Option.map (at_least 1 "--shard-runs"))
+      $ Arg.(
+          value
+          & opt (some int) None
+          & info [ "shard-runs" ] ~docv:"N"
+              ~doc:
+                "Runs per leased shard (positive; default: 4 or \
+                 $(b,--jobs), whichever is larger).  The in-process worker \
+                 runs one shard per turn, so a $(b,kill -9) loses at most \
+                 one shard of work.  Each campaign's partition is \
+                 journaled, so a restart with another value keeps it."))
   in
   let lease_ms_arg =
-    Arg.(
-      value
-      & opt int Perple_service.Coordinator.default_config.lease_ticks
-      & info [ "lease-ms" ] ~docv:"MS"
-          ~doc:
-            "Lease renewal deadline in milliseconds: a worker silent for \
-             $(docv) ms loses its shard.")
+    bounded 1 "--lease-ms"
+      Arg.(
+        value
+        & opt int Perple_service.Coordinator.default_config.lease_ticks
+        & info [ "lease-ms" ] ~docv:"MS"
+            ~doc:
+              "Lease renewal deadline in milliseconds (positive): a worker \
+               silent for $(docv) ms loses its shard.")
   in
-  let run socket tcp jobs journal _coordinator shard_runs lease_ms trace
-      metrics =
+  let run socket tcp jobs journal _coordinator shard_runs lease_ms obs =
     let shard_runs =
       Option.value shard_runs
         ~default:
           (max Perple_service.Coordinator.default_config.shard_runs jobs)
     in
-    if jobs <= 0 then fail "--jobs must be positive"
-    else if shard_runs <= 0 then fail "--shard-runs must be positive"
-    else if lease_ms <= 0 then fail "--lease-ms must be positive"
-    else begin
+    Printf.eprintf
+      "perpled: listening on %s%s, %d job%s, coordinating %d-run shards \
+       under %d ms leases%s\n%!"
+      socket
+      (match tcp with
+      | None -> ""
+      | Some p -> Printf.sprintf " and tcp 127.0.0.1:%d" p)
+      jobs
+      (if jobs = 1 then "" else "s")
+      shard_runs lease_ms
+      (match journal with
+      | None -> " (no journal: campaigns are lost on restart)"
+      | Some path ->
+        if Sys.file_exists path then
+          Printf.sprintf ", resuming journal %s" path
+        else Printf.sprintf ", journal %s" path);
+    let coordinator =
+      {
+        Perple_service.Coordinator.default_config with
+        shard_runs;
+        lease_ticks = lease_ms;
+      }
+    in
+    match
+      with_observability obs @@ fun () ->
+      Perple_service.Server.serve ~socket ?tcp_port:tcp ~jobs ~coordinator
+        ~journal ()
+    with
+    | Error m -> Error m
+    | Ok signum ->
       Printf.eprintf
-        "perpled: listening on %s%s, %d job%s, coordinating %d-run shards \
-         under %d ms leases%s\n%!"
+        "\nperpled: %s: drained, journal flushed\nperpled: resume with: \
+         perple serve --socket %s%s%s\n%!"
+        (if signum = Sys.sigint then "interrupted" else "terminated")
         socket
-        (match tcp with
-        | None -> ""
-        | Some p -> Printf.sprintf " and tcp 127.0.0.1:%d" p)
-        jobs
-        (if jobs = 1 then "" else "s")
-        shard_runs lease_ms
         (match journal with
-        | None -> " (no journal: campaigns are lost on restart)"
-        | Some path ->
-          if Sys.file_exists path then
-            Printf.sprintf ", resuming journal %s" path
-          else Printf.sprintf ", journal %s" path);
-      let coordinator =
-        {
-          Perple_service.Coordinator.default_config with
-          shard_runs;
-          lease_ticks = lease_ms;
-        }
-      in
-      match
-        with_observability ~trace ~metrics @@ fun () ->
-        Perple_service.Server.serve ~socket ?tcp_port:tcp ~jobs ~coordinator
-          ~journal ()
-      with
-      | Error m -> Error m
-      | Ok signum ->
-        Printf.eprintf
-          "\nperpled: %s: drained, journal flushed\nperpled: resume with: \
-           perple serve --socket %s%s%s\n%!"
-          (if signum = Sys.sigint then "interrupted" else "terminated")
-          socket
-          (match journal with
-          | None -> ""
-          | Some path -> " --journal " ^ Filename.quote path)
-          (if jobs = 1 then "" else Printf.sprintf " --jobs %d" jobs);
-        (* Exit the standard interrupted codes so scripts and the CI
-           smoke job can tell a drain from a crash; observability files
-           were already written by [with_observability]. *)
-        Stdlib.exit (if signum = Sys.sigint then 130 else 143)
-    end
+        | None -> ""
+        | Some path -> " --journal " ^ Filename.quote path)
+        (if jobs = 1 then "" else Printf.sprintf " --jobs %d" jobs);
+      (* Exit the standard interrupted codes so scripts and the CI
+         smoke job can tell a drain from a crash; observability files
+         were already written by [with_observability]. *)
+      Stdlib.exit (if signum = Sys.sigint then 130 else 143)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1714,8 +1691,7 @@ let serve_cmd =
     (wrap
        Term.(
          const run $ socket_arg $ tcp_arg $ jobs_arg $ journal_arg
-         $ coordinator_arg $ shard_runs_arg $ lease_ms_arg $ trace_arg
-         $ metrics_arg))
+         $ coordinator_arg $ shard_runs_arg $ lease_ms_arg $ observe_term))
 
 let submit_cmd =
   let campaign_arg =
@@ -1726,26 +1702,25 @@ let submit_cmd =
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"CAMPAIGN" ~doc)
   in
+  (* Validated locally first for a fast, friendly error. *)
   let submit_test_arg =
     let doc =
       "Catalog test name (see $(b,perple list)) or path to a .litmus file \
        (the file's contents are shipped to the daemon)."
     in
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"TEST" ~doc)
-  in
-  let runs_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "runs" ] ~docv:"R"
-          ~doc:"Campaign size: $(docv) runs with pre-split seeds.")
+    Term.(
+      const (fun spec -> ignore (load_or_exit spec); spec)
+      $ Arg.(required & pos 1 (some string) None & info [] ~docv:"TEST" ~doc))
   in
   let retries_arg =
-    Arg.(
-      value & opt int 5
-      & info [ "retries" ] ~docv:"K"
-          ~doc:
-            "Reconnection attempts on transport loss (exponentially \
-             backed-off sleeps); safe because submits are idempotent.")
+    bounded 1 "--retries"
+      Arg.(
+        value & opt int 5
+        & info [ "retries" ] ~docv:"K"
+            ~doc:
+              "Reconnection attempts on transport loss (positive; \
+               exponentially backed-off sleeps); safe because submits are \
+               idempotent.")
   in
   let follow_arg =
     Arg.(
@@ -1755,70 +1730,62 @@ let submit_cmd =
             "Print live campaign progress to stderr as the daemon streams \
              it (runs done and shard counts).")
   in
-  let run campaign spec socket iterations seed runs counter model retries
+  let run campaign spec socket (iterations, seed, runs) counter model retries
       follow =
-    if retries < 1 then fail "--retries must be positive"
-    else
-      (* Validate locally first for a fast, friendly error; ship file
-         contents so the daemon needs no access to our filesystem. *)
-      Result.bind (load_test spec) @@ fun test ->
-      let payload =
-        if Sys.file_exists spec && not (Sys.is_directory spec) then
-          In_channel.with_open_bin spec In_channel.input_all
-        else spec
-      in
-      ignore test;
-      let wire_spec =
-        {
-          Perple_service.Wire.campaign;
-          test = payload;
-          iterations;
-          seed;
-          runs;
-          counter =
-            (match counter with
-            | Engine.Heuristic -> "heur"
-            | Engine.Exhaustive -> "exh"
-            | Engine.Exhaustive_reference -> "exh-ref");
-          model = Config.model_name model;
-        }
-      in
-      let on_progress =
-        if not follow then None
-        else
-          Some
-            (fun p ->
-              Printf.eprintf
-                "perple: %s: %d/%d runs%s\n%!" campaign
-                p.Perple_service.Client.runs_done
-                p.Perple_service.Client.runs_total
-                (if
+    (* Ship file contents so the daemon needs no access to our
+       filesystem. *)
+    let payload =
+      if Sys.file_exists spec && not (Sys.is_directory spec) then
+        In_channel.with_open_bin spec In_channel.input_all
+      else spec
+    in
+    let wire_spec =
+      {
+        Perple_service.Wire.campaign;
+        test = payload;
+        iterations;
+        seed;
+        runs;
+        counter = Engine.counter_wire_name counter;
+        model = Config.model_name model;
+      }
+    in
+    let on_progress =
+      if not follow then None
+      else
+        Some
+          (fun p ->
+            Printf.eprintf
+              "perple: %s: %d/%d runs%s\n%!" campaign
+              p.Perple_service.Client.runs_done
+              p.Perple_service.Client.runs_total
+              (if
+                 p.Perple_service.Client.shards_done
+                 + p.Perple_service.Client.shards_leased
+                 + p.Perple_service.Client.shards_failed
+                 > 0
+               then
+                 Printf.sprintf
+                   " (shards: %d done, %d leased, %d abandoned)"
                    p.Perple_service.Client.shards_done
-                   + p.Perple_service.Client.shards_leased
-                   + p.Perple_service.Client.shards_failed
-                   > 0
-                 then
-                   Printf.sprintf
-                     " (shards: %d done, %d leased, %d abandoned)"
-                     p.Perple_service.Client.shards_done
-                     p.Perple_service.Client.shards_leased
-                     p.Perple_service.Client.shards_failed
-                 else ""))
-      in
-      match
-        Perple_service.Client.submit_blocking ~socket ~attempts:retries
-          ?on_progress ~spec:wire_spec ()
-      with
-      | Error m -> fail "submit %s: %s" campaign m
-      | Ok outcome ->
-        Printf.eprintf
-          "perple: campaign %s accepted (digest %s, %d of %d runs were \
-           already journaled)\n%!"
-          campaign outcome.Perple_service.Client.digest
-          outcome.Perple_service.Client.completed_at_accept runs;
-        List.iter print_endline outcome.Perple_service.Client.records;
-        Printf.printf "metrics: %s\n" outcome.Perple_service.Client.metrics;
-        Ok ()
+                   p.Perple_service.Client.shards_leased
+                   p.Perple_service.Client.shards_failed
+               else ""))
+    in
+    match
+      Perple_service.Client.submit_blocking ~socket ~attempts:retries
+        ?on_progress ~spec:wire_spec ()
+    with
+    | Error m -> fail "submit %s: %s" campaign m
+    | Ok outcome ->
+      Printf.eprintf
+        "perple: campaign %s accepted (digest %s, %d of %d runs were \
+         already journaled)\n%!"
+        campaign outcome.Perple_service.Client.digest
+        outcome.Perple_service.Client.completed_at_accept runs;
+      List.iter print_endline outcome.Perple_service.Client.records;
+      Printf.printf "metrics: %s\n" outcome.Perple_service.Client.metrics;
+      Ok ()
   in
   Cmd.v
     (Cmd.info "submit"
@@ -1829,8 +1796,10 @@ let submit_cmd =
     (wrap
        Term.(
          const run $ campaign_arg $ submit_test_arg $ socket_arg
-         $ iterations_arg $ seed_arg $ runs_arg $ counter_arg $ model_arg
-         $ retries_arg $ follow_arg))
+         $ sizes_term
+             (runs_arg ~default:2
+                "Campaign size: $(docv) runs (positive) with pre-split seeds.")
+         $ counter_arg $ model_arg $ retries_arg $ follow_arg))
 
 let worker_cmd =
   let tcp_arg =
@@ -1850,37 +1819,36 @@ let worker_cmd =
           ~doc:"Worker name reported in the handshake (default: worker-PID).")
   in
   let retries_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "retries" ] ~docv:"K"
-          ~doc:
-            "Consecutive fruitless reconnection attempts before giving up \
-             (a connection that executed at least one lease refills the \
-             budget, so a restarting coordinator is survived).")
+    bounded 1 "--retries"
+      Arg.(
+        value & opt int 10
+        & info [ "retries" ] ~docv:"K"
+            ~doc:
+              "Consecutive fruitless reconnection attempts before giving up \
+               (positive; a connection that executed at least one lease \
+               refills the budget, so a restarting coordinator is \
+               survived).")
   in
-  let run socket tcp name retries trace metrics =
-    if retries < 1 then fail "--retries must be positive"
-    else begin
-      let address =
-        match tcp with Some p -> `Tcp p | None -> `Unix_socket socket
-      in
-      Printf.eprintf "perple worker %s: dialling %s\n%!" name
-        (match address with
-        | `Tcp p -> Printf.sprintf "tcp 127.0.0.1:%d" p
-        | `Unix_socket s -> s);
-      match
-        with_observability ~trace ~metrics @@ fun () ->
-        Perple_service.Worker.work_blocking ~address ~name ~attempts:retries
-          ~on_note:(fun line ->
-            Printf.eprintf "perple worker %s: %s\n%!" name line)
-          ()
-      with
-      | Error m -> fail "worker %s: %s" name m
-      | Ok signum ->
-        Printf.eprintf "perple worker %s: %s, stopping\n%!" name
-          (if signum = Sys.sigint then "interrupted" else "terminated");
-        Stdlib.exit (if signum = Sys.sigint then 130 else 143)
-    end
+  let run socket tcp name retries obs =
+    let address =
+      match tcp with Some p -> `Tcp p | None -> `Unix_socket socket
+    in
+    Printf.eprintf "perple worker %s: dialling %s\n%!" name
+      (match address with
+      | `Tcp p -> Printf.sprintf "tcp 127.0.0.1:%d" p
+      | `Unix_socket s -> s);
+    match
+      with_observability obs @@ fun () ->
+      Perple_service.Worker.work_blocking ~address ~name ~attempts:retries
+        ~on_note:(fun line ->
+          Printf.eprintf "perple worker %s: %s\n%!" name line)
+        ()
+    with
+    | Error m -> fail "worker %s: %s" name m
+    | Ok signum ->
+      Printf.eprintf "perple worker %s: %s, stopping\n%!" name
+        (if signum = Sys.sigint then "interrupted" else "terminated");
+      Stdlib.exit (if signum = Sys.sigint then 130 else 143)
   in
   Cmd.v
     (Cmd.info "worker"
@@ -1893,7 +1861,7 @@ let worker_cmd =
     (wrap
        Term.(
          const run $ socket_arg $ tcp_arg $ name_arg $ retries_arg
-         $ trace_arg $ metrics_arg))
+         $ observe_term))
 
 let main_cmd =
   let info =

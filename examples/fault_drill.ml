@@ -16,6 +16,7 @@
    Run with: dune exec examples/fault_drill.exe *)
 
 module Catalog = Perple_litmus.Catalog
+module Config = Perple_sim.Config
 module Fault = Perple_sim.Fault
 module Engine = Perple_core.Engine
 module Supervisor = Perple_harness.Supervisor
@@ -36,12 +37,13 @@ let report_line i (report : Engine.report) =
 let campaign ~name ~faults ~seed ~runs ~iterations =
   Printf.printf "%s (faults: %s)\n" name (Fault.profile_to_string faults);
   let policy = Supervisor.default_policy ~iterations in
+  let config = Config.with_faults faults Config.default in
   let rng = Rng.create seed in
   let degraded = ref 0 in
   for i = 1 to runs do
     let run_seed = Int64.to_int (Rng.bits64 rng) land max_int in
     match
-      Engine.run ~faults ~policy ~seed:run_seed ~iterations Catalog.sb
+      Engine.run ~config ~policy ~seed:run_seed ~iterations Catalog.sb
     with
     | Error _ -> assert false
     | Ok report ->

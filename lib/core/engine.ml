@@ -3,6 +3,8 @@ module Perpetual = Perple_harness.Perpetual
 module Supervisor = Perple_harness.Supervisor
 module Machine = Perple_sim.Machine
 module Rng = Perple_util.Rng
+module Metrics = Perple_util.Metrics
+module Trace_event = Perple_util.Trace_event
 
 type counter = Exhaustive | Exhaustive_reference | Heuristic
 
@@ -36,23 +38,45 @@ let exhaustive_iterations_cap ~tl ~cap ~requested =
     shrink requested
   end
 
-let counter_label = function
-  | Exhaustive -> "exhaustive"
-  | Exhaustive_reference -> "exhaustive_reference"
-  | Heuristic -> "heuristic"
+(* One row per counter: the name ledgers, digests and traces print, then
+   every name [counter_of_name] accepts, the wire name first. *)
+let counter_names =
+  [
+    (Heuristic, ("heuristic", [ "heur"; "heuristic" ]));
+    (Exhaustive, ("exhaustive", [ "exh"; "exhaustive" ]));
+    ( Exhaustive_reference,
+      ("exhaustive-reference", [ "exh-ref"; "reference" ]) );
+  ]
 
-let run ?(config = Perple_sim.Config.default) ?faults ?policy
+let counter_name c = fst (List.assoc c counter_names)
+let counter_wire_name c = List.hd (snd (List.assoc c counter_names))
+
+let counter_of_name s =
+  List.find_map
+    (fun (c, (_, names)) -> if List.mem s names then Some c else None)
+    counter_names
+
+type param = Runs | Iterations | Seed
+
+let param_name = function
+  | Runs -> "runs"
+  | Iterations -> "iterations"
+  | Seed -> "seed"
+
+let check_campaign ?(name = param_name) ~runs ~iterations ~seed () =
+  let broken p rule = Error (Printf.sprintf "%s must be %s" (name p) rule) in
+  if runs < 1 then broken Runs "positive"
+  else if iterations < 1 then broken Iterations "positive"
+  else if seed < 0 then broken Seed "non-negative"
+  else Ok ()
+
+let run ?(config = Perple_sim.Config.default) ?policy
     ?(counter = Heuristic) ?outcomes ?(exhaustive_cap = 250_000_000)
     ?(stress_threads = 0) ~seed ~iterations test =
-  let trace_start = Trace.now () in
+  let trace_start = Trace_event.now () in
   match Convert.convert_body test with
   | Error _ as e -> e
   | Ok conversion -> (
-    let config =
-      match faults with
-      | Some faults -> Perple_sim.Config.with_faults faults config
-      | None -> config
-    in
     let outcomes =
       match outcomes with
       | Some o -> o
@@ -143,15 +167,16 @@ let run ?(config = Perple_sim.Config.default) ?faults ?policy
           Metrics.add m "engine.virtual_runtime"
             (run_rounds + result.Count.evaluations)
         | None -> ());
-        Trace.complete ~name:"engine.run" ~since:trace_start
+        Trace_event.complete ~name:"engine.run" ~since:trace_start
           ~args:
             [
               ( "test",
-                Trace.String conversion.Convert.test.Perple_litmus.Ast.name );
-              ("seed", Trace.Int seed);
-              ("iterations", Trace.Int iterations);
-              ("counter", Trace.String (counter_label counter));
-              ("degraded", Trace.Bool degraded);
+                Trace_event.String
+                  conversion.Convert.test.Perple_litmus.Ast.name );
+              ("seed", Trace_event.Int seed);
+              ("iterations", Trace_event.Int iterations);
+              ("counter", Trace_event.String (counter_name counter));
+              ("degraded", Trace_event.Bool degraded);
             ]
           ();
         Ok
@@ -191,7 +216,7 @@ let campaign_seeds ~runs ~seed =
   Array.init runs (fun _ ->
       Int64.to_int (Rng.bits64 campaign_rng) land max_int)
 
-let campaign_entries ?config ?faults ?policy ?counter ?outcomes
+let campaign_entries ?config ?policy ?counter ?outcomes
     ?exhaustive_cap ?stress_threads ?pool ?(jobs = 1)
     ?(skip = fun _ -> false) ?on_entry ~runs ~seed ~iterations test =
   if runs < 0 then invalid_arg "Engine.campaign: negative run count";
@@ -217,7 +242,7 @@ let campaign_entries ?config ?faults ?policy ?counter ?outcomes
        else Printf.sprintf "only %d runs" runs)
   end;
   let pool_jobs = max 1 (min stable_jobs (max 1 (Array.length pending))) in
-  let trace_start = Trace.now () in
+  let trace_start = Trace_event.now () in
   let entries : entry option array = Array.make (max runs 1) None in
   let entry_mutex = Mutex.create () in
   (* Per-run capture: when metrics are wanted — or when every retiring
@@ -277,17 +302,17 @@ let campaign_entries ?config ?faults ?policy ?counter ?outcomes
   let raw =
     Pool.map_result ?pool ~jobs:pool_jobs ~around (Array.length pending)
       (fun ti ->
-        run ?config ?faults ?policy ?counter ?outcomes ?exhaustive_cap
+        run ?config ?policy ?counter ?outcomes ?exhaustive_cap
           ?stress_threads ~seed:seeds.(pending.(ti)) ~iterations test)
   in
   Metrics.incr "engine.campaigns";
-  Trace.complete ~name:"engine.campaign" ~since:trace_start
+  Trace_event.complete ~name:"engine.campaign" ~since:trace_start
     ~args:
       [
-        ("runs", Trace.Int runs);
-        ("jobs", Trace.Int jobs);
-        ("seed", Trace.Int seed);
-        ("executed", Trace.Int (Array.length pending));
+        ("runs", Trace_event.Int runs);
+        ("jobs", Trace_event.Int jobs);
+        ("seed", Trace_event.Int seed);
+        ("executed", Trace_event.Int (Array.length pending));
       ]
     ();
   (* The test is shared, so conversion failures are identical across
@@ -301,10 +326,10 @@ let campaign_entries ?config ?faults ?policy ?counter ?outcomes
   | Some reason -> Error reason
   | None -> Ok (if runs = 0 then [||] else entries)
 
-let campaign ?config ?faults ?policy ?counter ?outcomes ?exhaustive_cap
+let campaign ?config ?policy ?counter ?outcomes ?exhaustive_cap
     ?stress_threads ?pool ?jobs ~runs ~seed ~iterations test =
   match
-    campaign_entries ?config ?faults ?policy ?counter ?outcomes
+    campaign_entries ?config ?policy ?counter ?outcomes
       ?exhaustive_cap ?stress_threads ?pool ?jobs ~runs ~seed ~iterations
       test
   with

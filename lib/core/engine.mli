@@ -21,6 +21,30 @@ type counter =
           correctness baseline. *)
   | Heuristic
 
+val counter_name : counter -> string
+(** ["heuristic"], ["exhaustive"] or ["exhaustive-reference"], as ledgers,
+    digests and traces print it. *)
+
+val counter_wire_name : counter -> string
+(** ["heur"], ["exh"] or ["exh-ref"], as wire specs carry it. *)
+
+val counter_of_name : string -> counter option
+(** Accepts the wire names and ["heuristic"], ["exhaustive"], ["reference"]. *)
+
+type param = Runs | Iterations | Seed
+
+val check_campaign :
+  ?name:(param -> string) ->
+  runs:int ->
+  iterations:int ->
+  seed:int ->
+  unit ->
+  (unit, string) result
+(** The campaign rule the CLI and the daemon's spec check share: runs and
+    iterations must be positive, the seed non-negative.  The error names
+    the first parameter that breaks it, as [name] spells it (default
+    ["runs"], ["iterations"], ["seed"]): ["iterations must be positive"]. *)
+
 type report = {
   conversion : Convert.t;
   run : Perple_harness.Perpetual.run;
@@ -57,7 +81,6 @@ type report = {
 
 val run :
   ?config:Perple_sim.Config.t ->
-  ?faults:Perple_sim.Fault.profile ->
   ?policy:Perple_harness.Supervisor.policy ->
   ?counter:counter ->
   ?outcomes:Outcome.t list ->
@@ -75,11 +98,11 @@ val run :
     [requested_iterations] vs [run.iterations] instead of being applied
     silently.
 
-    [faults] (overriding [config.faults]) injects failures; [policy]
-    supervises the run — watchdog, retries with backoff and split RNGs,
-    and checkpoint salvage ({!Perple_harness.Supervisor}).  Without a
-    policy, runs truncated by crash faults are still salvaged: counting
-    proceeds over the completed prefix and the report is marked
+    [config.faults] ({!Perple_sim.Config.with_faults}) injects failures;
+    [policy] supervises the run — watchdog, retries with backoff and
+    split RNGs, and checkpoint salvage ({!Perple_harness.Supervisor}).
+    Without a policy, runs truncated by crash faults are still salvaged:
+    counting proceeds over the completed prefix and the report is marked
     [degraded].  Beware that a hang or livelock fault without a policy
     leaves no watchdog to bound the run. *)
 
@@ -105,7 +128,6 @@ val campaign_seeds : runs:int -> seed:int -> int array
 
 val campaign_entries :
   ?config:Perple_sim.Config.t ->
-  ?faults:Perple_sim.Fault.profile ->
   ?policy:Perple_harness.Supervisor.policy ->
   ?counter:counter ->
   ?outcomes:Outcome.t list ->
@@ -136,7 +158,6 @@ val campaign_entries :
 
 val campaign :
   ?config:Perple_sim.Config.t ->
-  ?faults:Perple_sim.Fault.profile ->
   ?policy:Perple_harness.Supervisor.policy ->
   ?counter:counter ->
   ?outcomes:Outcome.t list ->

@@ -15,6 +15,9 @@
    parked on a condition variable between batches; dispatch is one
    broadcast plus chunked index claiming off a single atomic counter. *)
 
+module Metrics = Perple_util.Metrics
+module Trace_event = Perple_util.Trace_event
+
 let available_domains () = Domain.recommended_domain_count ()
 
 (* The OCaml runtime supports a bounded number of live domains; stay well
@@ -194,13 +197,13 @@ let clamp_jobs ?pool ~jobs ~n () =
    no scope can appear mid-batch, so the check is hoisted to dispatch
    time and disarmed instrumentation costs nothing per task. *)
 let observed_task f i =
-  if not (Trace.enabled () || Metrics.enabled ()) then f i
+  if not (Trace_event.enabled () || Metrics.enabled ()) then f i
   else begin
-    let t0 = Trace.now () in
+    let t0 = Trace_event.now () in
     let r = f i in
     Metrics.incr "pool.tasks";
-    Trace.complete ~name:"pool.task" ~since:t0
-      ~args:[ ("index", Trace.Int i) ]
+    Trace_event.complete ~name:"pool.task" ~since:t0
+      ~args:[ ("index", Trace_event.Int i) ]
       ();
     r
   end
@@ -285,7 +288,7 @@ let map_result ?pool ?jobs ?around n f =
            enabled check inside the task. *)
         observed_task f
       | None ->
-        if Trace.enabled () || Metrics.enabled () then observed_task f else f
+        if Trace_event.enabled () || Metrics.enabled () then observed_task f else f
     in
     (* Capture failures per task instead of poisoning the pool: a raising
        task yields [Error] in its own slot (exception plus backtrace) and

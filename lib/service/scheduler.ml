@@ -57,20 +57,6 @@ type t = {
 
 (* --- spec validation ------------------------------------------------------- *)
 
-let counter_of_name = function
-  | "heur" | "heuristic" -> Some Engine.Heuristic
-  | "exh" | "exhaustive" -> Some Engine.Exhaustive
-  | "exh-ref" | "reference" -> Some Engine.Exhaustive_reference
-  | _ -> None
-
-let model_of_name = function
-  | "sc" -> Some Config.Sc
-  | "tso" -> Some Config.Tso
-  | "pso" -> Some Config.Pso
-  | "tso+store-reorder-bug" -> Some Config.Tso_store_reorder
-  | "tso+fence-ignored-bug" -> Some Config.Tso_fence_ignored
-  | _ -> None
-
 let resolve_test text =
   match Catalog.find text with
   | Some entry -> Ok entry.Catalog.test
@@ -98,22 +84,21 @@ let resolve (spec : Wire.spec) =
     if spec.Wire.campaign = "" then fail "campaign id must be non-empty"
     else if String.length spec.Wire.campaign > 256 then
       fail "campaign id longer than 256 bytes"
-    else if spec.Wire.runs < 1 then fail "runs must be positive"
-    else if spec.Wire.iterations < 1 then fail "iterations must be positive"
-    else if spec.Wire.seed < 0 then fail "seed must be non-negative"
-    else Ok ()
+    else
+      Engine.check_campaign ~runs:spec.Wire.runs
+        ~iterations:spec.Wire.iterations ~seed:spec.Wire.seed ()
   in
   let* counter =
     Option.to_result
       ~none:
         (Printf.sprintf "unknown counter %S (heur, exh or exh-ref)"
            spec.Wire.counter)
-      (counter_of_name spec.Wire.counter)
+      (Engine.counter_of_name spec.Wire.counter)
   in
   let* model =
     Option.to_result
       ~none:(Printf.sprintf "unknown model %S" spec.Wire.model)
-      (model_of_name spec.Wire.model)
+      (Config.model_of_name spec.Wire.model)
   in
   let* test = resolve_test spec.Wire.test in
   let* _ =
@@ -134,11 +119,7 @@ let resolve (spec : Wire.spec) =
         ("test", Digest.to_hex (Digest.string (Printer.to_string test)));
         ("iterations", string_of_int spec.Wire.iterations);
         ("seed", string_of_int spec.Wire.seed);
-        ("counter", Engine.(
-           match counter with
-           | Heuristic -> "heur"
-           | Exhaustive -> "exh"
-           | Exhaustive_reference -> "exh-ref"));
+        ("counter", Engine.counter_wire_name counter);
         ("model", Config.model_name model);
         ("runs", string_of_int spec.Wire.runs);
       ]

@@ -32,9 +32,9 @@ let write ~path data =
        ~finally:(fun () -> Unix.close fd)
        (fun () ->
          write_all fd data;
-         Unix.fsync fd)
+         Unix.fsync fd);
+     Unix.rename tmp path
    with e ->
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
-  Unix.rename tmp path;
   fsync_dir (Filename.dirname path)

@@ -11,7 +11,7 @@
 val write : path:string -> string -> unit
 (** [write ~path data] atomically replaces [path] with [data].  The
     temporary file lives next to [path] (same filesystem, so the rename
-    is atomic) and is removed if the write fails.  Raises [Unix_error]
+    is atomic) and is removed if the write or the rename fails.  Raises [Unix_error]
     or [Sys_error] on I/O failure. *)
 
 val fsync_dir : string -> unit

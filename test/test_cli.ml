@@ -407,27 +407,134 @@ let test_crash_suite_wrong_config_rejected () =
          (Filename.quote journal))
   end
 
-let test_bad_jobs () =
-  expect_fail ~grep:"--jobs must be positive" "run sb -n 100 --jobs 0";
-  expect_fail ~grep:"--runs must be positive" "run sb -n 100 --runs 0"
-
-(* -n is checked once, for every command that takes it, before any run:
-   a usage error (exit 1) — never an uncaught exception (exit 125) nor a
-   campaign of crashed runs that exits 0. *)
-let test_bad_iterations () =
+(* Every bad flag value is a usage error checked before any run: exit 1
+   with a [perple: FLAG ...] message — never an uncaught exception (exit
+   125), nor a campaign that runs and exits 0. *)
+let expect_usage_errors cases =
   if Lazy.force have_binary then
     List.iter
-      (fun args ->
+      (fun (args, message) ->
         let code, text = run_cli args in
         check Alcotest.int (Printf.sprintf "perple %s exit code" args) 1 code;
-        if not (contains ~sub:"perple: -n must be positive" text) then
-          Alcotest.failf "perple %s: no -n message in output:\n%s" args text)
+        if not (contains ~sub:("perple: " ^ message) text) then
+          Alcotest.failf "perple %s: %S not found in output:\n%s" args message
+            text)
+      cases
+
+let test_bad_iterations () =
+  expect_usage_errors
+    [
+      ("run sb -n 0", "-n must be positive");
+      ("run sb -n 0 --runs 4", "-n must be positive");
+      ("supervise sb -n 0 --runs 2", "-n must be positive");
+      ("litmus7 sb -n 0", "-n must be positive");
+      ("trace sb -n 0", "-n must be positive");
+      ("submit c sb -n 0", "-n must be positive");
+    ]
+
+let test_bad_jobs () =
+  expect_usage_errors
+    [
+      ("run sb -n 100 --runs 0", "--runs must be positive");
+      ("supervise sb -n 100 --runs 0", "--runs must be positive");
+      ("submit c sb --runs 0", "--runs must be positive");
+      ("run sb -n 100 --jobs 0", "--jobs must be positive");
+      ("crash-suite pm-epoch-order --jobs 0", "--jobs must be positive");
+    ]
+
+let test_bad_flag_values () =
+  expect_usage_errors
+    [
+      ("run sb --seed=-5", "--seed must be non-negative");
+      ("litmus7 sb --seed=-5", "--seed must be non-negative");
+      ("submit c sb --seed=-5", "--seed must be non-negative");
+      ("run sb --stress=-1", "--stress must be non-negative");
+      ("run sb --counter exh --cap=-3", "--cap must be positive");
+      ("supervise sb --max-retries=-1", "--max-retries must be non-negative");
+      ("supervise sb --min-retired=-5", "--min-retired must be non-negative");
+      ("supervise sb --watchdog-rounds=-5", "--watchdog-rounds must be positive");
+      ("supervise sb --backoff 0", "--backoff must be positive");
+      ("trace sb --events=-1", "--events must be non-negative");
+      ("submit c sb --retries 0", "--retries must be positive");
+    ]
+
+(* Output paths are checked before any run or write. *)
+let test_bad_output_paths () =
+  let missing = "/nonexistent-perple-dir" in
+  expect_usage_errors
+    [
+      ( "emit sb -o " ^ missing ^ "/out",
+        "-o " ^ missing ^ "/out: directory " ^ missing ^ " does not exist" );
+      ("emit sb -o /dev/null", "-o /dev/null: not a directory");
+      ( "export -o " ^ missing ^ "/out",
+        "-o " ^ missing ^ "/out: directory " ^ missing ^ " does not exist" );
+      ( "run sb -n 100 --metrics " ^ missing ^ "/m.json",
+        "--metrics " ^ missing ^ "/m.json: directory " ^ missing
+        ^ " does not exist" );
+      ( "supervise sb -n 100 --runs 2 --trace " ^ missing ^ "/t.json",
+        "--trace " ^ missing ^ "/t.json: directory " ^ missing
+        ^ " does not exist" );
+      ("run sb -n 100 --metrics .", "--metrics .: is a directory");
+    ]
+
+(* Configuration digests pinned at their historical values: journals
+   record them, so a changed parameter list, order or spelling would stop
+   every existing journal from resuming. *)
+let journal_digest args =
+  let path = Filename.concat scratch "golden.journal" in
+  let code, _ =
+    run_cli_stdout (Printf.sprintf "%s --journal %s" args (Filename.quote path))
+  in
+  check Alcotest.int (Printf.sprintf "perple %s exit code" args) 0 code;
+  match Perple_util.Journal.load path with
+  | Ok { Perple_util.Journal.records = header :: _; _ } -> (
+    match Perple_core.Ledger.parse_header header with
+    | Ok h -> h.Perple_core.Ledger.h_digest
+    | Error m -> Alcotest.failf "perple %s: bad journal header: %s" args m)
+  | _ -> Alcotest.failf "perple %s: no journal header" args
+
+let test_golden_digests () =
+  if Lazy.force have_binary then
+    List.iter
+      (fun (args, digest) ->
+        check Alcotest.string ("digest of " ^ args) digest
+          (journal_digest args))
       [
-        "run sb -n 0";
-        "run sb -n 0 --runs 4";
-        "supervise sb -n 0 --runs 2";
-        "litmus7 sb -n 0";
-      ]
+        ("run sb -n 500 --runs 4 --seed 5", "971baa6d2e35420ab348eaa19593309c");
+        ( "run sb -n 300 --runs 3 --counter exh-ref",
+          "dc01a3ba8e8aa2787f491f3f866702f4" );
+        ( "run mp -n 300 --runs 3 --counter reference --model \
+           tso+store-reorder-bug",
+          "178663ef05af5085d047da6375cf6a1a" );
+        ( "supervise sb -n 1000 --runs 4 --min-retired 10 --max-retries 1 \
+           --watchdog-rounds 5000 --backoff 0.25 --fault crash@0.3",
+          "ef137552469ed31095d72b4c992cadb9" );
+        ("crash-suite pm-epoch-order", "185744d43d824957d1d060a5adbc50c3");
+      ];
+  List.iter
+    (fun (test, iterations, seed, runs, counter, model, digest) ->
+      let spec =
+        {
+          Perple_service.Wire.campaign = "c";
+          test;
+          iterations;
+          seed;
+          runs;
+          counter;
+          model;
+        }
+      in
+      match Perple_service.Scheduler.resolve_spec spec with
+      | Ok r ->
+        check Alcotest.string ("serve-campaign digest of " ^ test) digest
+          r.Perple_service.Scheduler.r_digest
+      | Error m -> Alcotest.failf "spec for %s rejected: %s" test m)
+    [
+      ("sb", 3000, 7, 6, "heur", "tso", "efad97296e238d1bcbfe3d6d18b18e3d");
+      ("mp", 500, 42, 3, "exh", "pso", "8271095e9d863814fc295397ae173397");
+      (* An alias hashes as the wire name it stands for. *)
+      ("mp", 500, 42, 3, "exhaustive", "pso", "8271095e9d863814fc295397ae173397");
+    ]
 
 let test_run_cap_note () =
   expect_ok ~grep:"requested 5000"
@@ -508,8 +615,11 @@ let suite =
           test_crash_suite_kill_resume_identical;
         Alcotest.test_case "crash-suite wrong config rejected" `Quick
           test_crash_suite_wrong_config_rejected;
+        Alcotest.test_case "golden digests" `Quick test_golden_digests;
         Alcotest.test_case "bad --runs/--jobs" `Quick test_bad_jobs;
         Alcotest.test_case "bad -n" `Quick test_bad_iterations;
+        Alcotest.test_case "bad flag values" `Quick test_bad_flag_values;
+        Alcotest.test_case "bad output paths" `Quick test_bad_output_paths;
         Alcotest.test_case "run cap note" `Quick test_run_cap_note;
         Alcotest.test_case "unknown test" `Quick test_unknown_test;
         Alcotest.test_case "bad cycle" `Quick test_bad_cycle;

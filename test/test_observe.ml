@@ -196,7 +196,10 @@ let test_supervisor_attempt_counters () =
       let policy = Supervisor.default_policy ~iterations:1 in
       (match
          Engine.run
-           ~faults:[ { Fault.kind = Fault.Crash; probability = 1.0 } ]
+           ~config:
+             (Perple_sim.Config.with_faults
+                [ { Fault.kind = Fault.Crash; probability = 1.0 } ]
+                Perple_sim.Config.default)
            ~policy ~seed:5 ~iterations:1 Catalog.sb
        with
       | Ok _ -> ()

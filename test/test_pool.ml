@@ -120,10 +120,11 @@ let report_fingerprint (r : Engine.report) =
     r.Engine.degraded,
     r.Engine.salvaged_iterations )
 
-let campaign_fingerprints ?faults ?policy ~jobs () =
+let campaign_fingerprints ?(faults = Fault.none) ?policy ~jobs () =
+  let config = Perple_sim.Config.with_faults faults Perple_sim.Config.default in
   let reports =
     Result.get_ok
-      (Engine.campaign ?faults ?policy ~jobs ~runs:6 ~seed:42 ~iterations:400
+      (Engine.campaign ~config ?policy ~jobs ~runs:6 ~seed:42 ~iterations:400
          Catalog.sb)
   in
   Array.to_list (Array.map report_fingerprint reports)
@@ -267,9 +268,12 @@ let campaign_output ~pool ~jobs ~faults ~runs ~seed ~iterations =
   Metrics.install sink;
   Fun.protect ~finally:Metrics.uninstall (fun () ->
       let policy = Supervisor.default_policy ~iterations in
+      let config =
+        Perple_sim.Config.with_faults faults Perple_sim.Config.default
+      in
       let entries =
         Result.get_ok
-          (Engine.campaign_entries ~pool ~jobs ~faults ~policy ~runs ~seed
+          (Engine.campaign_entries ~pool ~jobs ~config ~policy ~runs ~seed
              ~iterations Catalog.sb)
       in
       let buf = Buffer.create 512 in

@@ -21,6 +21,7 @@ module Coordinator = Perple_service.Coordinator
 module Engine = Perple_core.Engine
 module Ledger = Perple_core.Ledger
 module Config = Perple_sim.Config
+module Catalog = Perple_litmus.Catalog
 
 let check = Alcotest.check
 
@@ -476,6 +477,82 @@ let test_scheduler_validation () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unparseable source must be rejected");
   Scheduler.close sched
+
+(* The name tables round-trip: every model and counter name the CLI or
+   the wire prints parses back to the same value. *)
+let test_spec_name_tables () =
+  List.iter
+    (fun m ->
+      check Alcotest.bool (Config.model_name m) true
+        (Config.model_of_name (Config.model_name m) = Some m))
+    Config.[ Sc; Tso; Pso; Tso_store_reorder; Tso_fence_ignored ];
+  check Alcotest.bool "unknown model" true (Config.model_of_name "arm" = None);
+  List.iter
+    (fun (c, wire, aliases) ->
+      check Alcotest.string "wire name" wire (Engine.counter_wire_name c);
+      List.iter
+        (fun name ->
+          check Alcotest.bool name true (Engine.counter_of_name name = Some c))
+        (wire :: aliases))
+    [
+      (Engine.Heuristic, "heur", [ "heuristic" ]);
+      (Engine.Exhaustive, "exh", [ "exhaustive" ]);
+      (Engine.Exhaustive_reference, "exh-ref", [ "reference" ]);
+    ];
+  check Alcotest.(list string) "printed names"
+    [ "heuristic"; "exhaustive"; "exhaustive-reference" ]
+    (List.map Engine.counter_name
+       Engine.[ Heuristic; Exhaustive; Exhaustive_reference ]);
+  check Alcotest.bool "unknown counter" true
+    (Engine.counter_of_name "exhaustive-reference" = None)
+
+(* Every wire spec is either refused at the boundary with a message, or
+   runs: a spec the daemon accepts never fails inside the engine. *)
+let spec_boundary_property =
+  let inline = Perple_litmus.Printer.to_string in
+  (* Three valid names to one invalid, so about one case in ten runs. *)
+  let names valid invalid =
+    QCheck.Gen.(frequency [ (3, oneofl valid); (1, oneofl invalid) ])
+  in
+  let tests =
+    names
+      [ "sb"; "mp"; "lb"; "pm-epoch-order"; inline Catalog.sb ]
+      [
+        (List.hd Catalog.non_convertible).Perple_litmus.Ast.name;
+        inline (List.hd Catalog.non_convertible);
+        "no-such-test";
+        "";
+        "bogus source\nwith lines";
+      ]
+  in
+  let counters = names [ "heur"; "exh"; "exh-ref"; "reference" ] [ "quantum"; "" ] in
+  let models =
+    names [ "sc"; "tso"; "pso"; "tso+store-reorder-bug" ] [ "arm"; "TSO" ]
+  in
+  QCheck.Test.make ~name:"wire spec is rejected with a message or runs"
+    ~count:1000
+    QCheck.(
+      make
+        Gen.(
+          pair
+            (triple tests counters models)
+            (triple (int_range (-1) 3) (int_range (-1) 3) (int_range (-2) 2))))
+    (fun ((test, counter, model), (runs, iterations, seed)) ->
+      let sp = spec ~test ~counter ~model ~runs ~iterations ~seed () in
+      match Scheduler.resolve_spec sp with
+      | Error m -> m <> ""
+      | Ok r -> (
+        match
+          Engine.campaign_entries
+            ~config:(Config.with_model r.Scheduler.r_model Config.default)
+            ~counter:r.Scheduler.r_counter ~runs ~seed ~iterations
+            r.Scheduler.r_test
+        with
+        | Error _ -> false
+        | Ok entries ->
+          Array.for_all
+            (function Some { Engine.outcome = Ok _; _ } -> true | _ -> false)
+            entries))
 
 let test_scheduler_idempotent_submit () =
   let sched = Result.get_ok (Scheduler.create ~journal:None ()) in
@@ -1068,6 +1145,8 @@ let suite =
     ( "service.scheduler",
       [
         Alcotest.test_case "spec validation" `Quick test_scheduler_validation;
+        Alcotest.test_case "spec name tables" `Quick test_spec_name_tables;
+        QCheck_alcotest.to_alcotest spec_boundary_property;
         Alcotest.test_case "idempotent resubmit" `Quick
           test_scheduler_idempotent_submit;
         Alcotest.test_case "cancellation" `Quick test_scheduler_cancel;

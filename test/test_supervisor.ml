@@ -208,8 +208,9 @@ let test_litmus7_supervised () =
 
 (* --- Engine integration --------------------------------------------------- *)
 
-let engine_run ?faults ?policy ~iterations () =
-  match Engine.run ?faults ?policy ~seed:21 ~iterations Catalog.sb with
+let engine_run ?(faults = Fault.none) ?policy ~iterations () =
+  let config = Config.with_faults faults Config.default in
+  match Engine.run ~config ?policy ~seed:21 ~iterations Catalog.sb with
   | Ok report -> report
   | Error _ -> failwith "sb should run"
 

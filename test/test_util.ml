@@ -1,4 +1,5 @@
-(* Unit and property tests for Perple_util: Rng, Stats, Table, Chart. *)
+(* Unit and property tests for Perple_util: Rng, Stats, Table, Chart,
+   Atomic_file. *)
 
 module Rng = Perple_util.Rng
 module Stats = Perple_util.Stats
@@ -360,6 +361,25 @@ let test_density () =
   check Alcotest.int "rows" 7 (List.length lines);
   check Alcotest.string "empty" "(empty distribution)\n" (Chart.density [])
 
+(* --- Atomic_file ------------------------------------------------------------ *)
+
+(* A rename that fails (here: the destination is a directory) must not
+   leave the PATH.tmp.PID file behind in the destination's directory. *)
+let test_atomic_rename_failure_cleans_up () =
+  let dir = Filename.temp_dir "perple-atomic" "" in
+  let target = Filename.concat dir "target" in
+  Sys.mkdir target 0o755;
+  (match Perple_util.Atomic_file.write ~path:target "data" with
+  | () -> Alcotest.fail "write over a directory succeeded"
+  | exception (Unix.Unix_error _ | Sys_error _) -> ());
+  let left = Array.to_list (Sys.readdir dir) in
+  Sys.rmdir target;
+  List.iter
+    (fun f -> if f <> "target" then Sys.remove (Filename.concat dir f))
+    left;
+  Sys.rmdir dir;
+  check Alcotest.(list string) "only the directory remains" [ "target" ] left
+
 let suite =
   [
     ( "util.rng",
@@ -419,5 +439,10 @@ let suite =
         Alcotest.test_case "hbar negative" `Quick test_hbar_negative;
         Alcotest.test_case "grouped hbar" `Quick test_grouped_hbar;
         Alcotest.test_case "density" `Quick test_density;
+      ] );
+    ( "util.atomic_file",
+      [
+        Alcotest.test_case "rename failure leaves no temp" `Quick
+          test_atomic_rename_failure_cleans_up;
       ] );
   ]
