@@ -1301,10 +1301,32 @@ let emit_cmd =
              the host (requires a C toolchain; the artifacts target x86-64).")
   in
   let native_iters_arg =
-    Arg.(
-      value & opt int 100_000
-      & info [ "native-iterations" ] ~docv:"N"
-          ~doc:"Iteration count passed to the native harness.")
+    bounded 1 "--native-iterations"
+      Arg.(
+        value & opt int 100_000
+        & info [ "native-iterations" ] ~docv:"N"
+            ~doc:"Iteration count passed to the native harness (positive).")
+  in
+  (* Compile [sources] into [exe] with cc; its diagnostics become the
+     error. *)
+  let cc dir ~exe sources =
+    let log = Filename.temp_file "perple-cc" ".log" in
+    let cmd =
+      Printf.sprintf "cc -O2 -pthread -o %s %s 2> %s"
+        (Filename.quote (Filename.concat dir exe))
+        (String.concat " "
+           (List.map (fun f -> Filename.quote (Filename.concat dir f)) sources))
+        (Filename.quote log)
+    in
+    let code = Sys.command cmd in
+    let diagnostics =
+      In_channel.with_open_bin log In_channel.input_all |> String.trim
+    in
+    Sys.remove log;
+    if code = 0 then Ok ()
+    else
+      fail "native build of %s failed (cc exited %d)%s" exe code
+        (if diagnostics = "" then "" else ":\n" ^ diagnostics)
   in
   let run test dir native native_iters =
     match Convert.convert test with
@@ -1332,36 +1354,38 @@ let emit_cmd =
                 | _ -> '_')
               test.Ast.name
           in
-          let sources =
-            List.filter
+          (* The C11 variant is a standalone program with its own main and
+             counters, so it builds separately from the harness. *)
+          let c11 = name ^ "_c11.c" in
+          let harness =
+            List.filter_map
               (fun (f : Codegen.file) ->
-                Filename.check_suffix f.Codegen.filename ".c"
-                || Filename.check_suffix f.Codegen.filename ".s")
+                let fn = f.Codegen.filename in
+                if
+                  fn <> c11
+                  && (Filename.check_suffix fn ".c"
+                     || Filename.check_suffix fn ".s")
+                then Some fn
+                else None)
               files
           in
-          let cmd =
-            Printf.sprintf "cc -O2 -pthread -o %s %s 2>/dev/null"
-              (Filename.quote (Filename.concat dir (name ^ "_native")))
-              (String.concat " "
-                 (List.map
-                    (fun (f : Codegen.file) ->
-                      Filename.quote
-                        (Filename.concat dir f.Codegen.filename))
-                    sources))
-          in
-          if Sys.command cmd <> 0 then
-            fail "native build failed (is a C toolchain available?)"
-          else begin
-            Printf.printf "running native harness (%d iterations)...\n%!"
-              native_iters;
-            let run_cmd =
-              Printf.sprintf "%s %d"
-                (Filename.quote (Filename.concat dir (name ^ "_native")))
-                native_iters
-            in
-            if Sys.command run_cmd <> 0 then fail "native run failed"
+          let* () = cc dir ~exe:(name ^ "_native") harness in
+          let* () =
+            if
+              List.exists
+                (fun (f : Codegen.file) -> f.Codegen.filename = c11)
+                files
+            then cc dir ~exe:(name ^ "_c11") [ c11 ]
             else Ok ()
-          end
+          in
+          Printf.printf "running native harness (%d iterations)...\n%!"
+            native_iters;
+          let run_cmd =
+            Printf.sprintf "%s %d"
+              (Filename.quote (Filename.concat dir (name ^ "_native")))
+              native_iters
+          in
+          if Sys.command run_cmd <> 0 then fail "native run failed" else Ok ()
         end)
   in
   Cmd.v

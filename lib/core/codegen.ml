@@ -78,6 +78,8 @@ let thread_asm (conv : Convert.t) ~thread =
   line "    cmpq %%rsi, %%rcx";
   line "    jb .Lt%d_loop" thread;
   line "    ret";
+  (* no executable stack: without the note, ld assumes one is needed *)
+  line ".section .note.GNU-stack,\"\",@progbits";
   {
     filename = Printf.sprintf "%s_thread_%d.s" name thread;
     content = Buffer.contents buf;

@@ -52,8 +52,10 @@ let trace_of_run (conv : Convert.t) (run : Perpetual.run) =
   let test = conv.Convert.test in
   let skel = skeleton test in
   let nthreads = Array.length skel in
-  let retired_arr = run.Perpetual.machine.Machine.iterations_retired in
-  let retired t = if t < Array.length retired_arr then retired_arr.(t) else 0 in
+  let retired =
+    let arr = run.Perpetual.machine.Machine.iterations_retired in
+    Array.init nthreads (fun t -> if t < Array.length arr then arr.(t) else 0)
+  in
   let loc_names = Array.of_list (Ast.locations test) in
   let loc_id x =
     let rec find i = if loc_names.(i) = x then i else find (i + 1) in
@@ -62,8 +64,10 @@ let trace_of_run (conv : Convert.t) (run : Perpetual.run) =
   (* Event position of an instruction within one skeleton iteration, and
      among the iteration's stores alone (the layout of unretired trailing
      iterations, which carry only stores a reader observed). *)
-  let full_pos = Array.map (fun _ -> Hashtbl.create 4) skel in
-  let store_pos = Array.map (fun _ -> Hashtbl.create 4) skel in
+  let per_instr () =
+    Array.map (fun p -> Array.make (Array.length p) 0) test.Ast.threads
+  in
+  let full_pos = per_instr () and store_pos = per_instr () in
   let stores_per_iter = Array.make nthreads 0 in
   Array.iteri
     (fun t program ->
@@ -72,8 +76,8 @@ let trace_of_run (conv : Convert.t) (run : Perpetual.run) =
         (fun instr_index instr ->
           match instr with
           | Ast.Store _ ->
-            Hashtbl.add full_pos.(t) instr_index !pos;
-            Hashtbl.add store_pos.(t) instr_index !spos;
+            full_pos.(t).(instr_index) <- !pos;
+            store_pos.(t).(instr_index) <- !spos;
             incr pos;
             incr spos
           | Ast.Load _ | Ast.Mfence | Ast.Drain -> incr pos
@@ -81,7 +85,7 @@ let trace_of_run (conv : Convert.t) (run : Perpetual.run) =
         program;
       stores_per_iter.(t) <- !spos)
     test.Ast.threads;
-  (* Per (thread, load slot) location. *)
+  (* Per (thread, load slot) location, by name and by id. *)
   let slot_loc =
     Array.map
       (fun skel_t ->
@@ -90,31 +94,35 @@ let trace_of_run (conv : Convert.t) (run : Perpetual.run) =
         |> Array.of_list)
       skel
   in
+  let slot_lid = Array.map (Array.map loc_id) slot_loc in
+  let decode t i s =
+    let value = run.Perpetual.bufs.(t).((run.Perpetual.t_reads.(t) * i) + s) in
+    match Convert.decode conv ~loc_id:slot_lid.(t).(s) ~value with
+    | Some d -> d
+    | None ->
+      raise
+        (Undecodable
+           (Printf.sprintf
+              "thread %d iteration %d slot %d: value %d decodes to no store \
+               of [%s]"
+              t i s value slot_loc.(t).(s)))
+  in
   (* First pass: decode every recorded load, extending write horizons to
      cover stores observed from an iteration the writer has not fully
-     retired. *)
-  let horizon = Array.init nthreads retired in
-  let decoded =
-    Array.init nthreads (fun t ->
-        let r = run.Perpetual.t_reads.(t) in
-        Array.init (retired t) (fun i ->
-            Array.init r (fun s ->
-                let value = run.Perpetual.bufs.(t).((r * i) + s) in
-                let x = slot_loc.(t).(s) in
-                match Convert.decode conv ~loc_id:(loc_id x) ~value with
-                | Some Convert.Initial -> None
-                | Some (Convert.Member { store; iteration }) ->
-                  if iteration + 1 > horizon.(store.Convert.thread) then
-                    horizon.(store.Convert.thread) <- iteration + 1;
-                  Some (store, iteration)
-                | None ->
-                  raise
-                    (Undecodable
-                       (Printf.sprintf
-                          "thread %d iteration %d slot %d: value %d decodes \
-                           to no store of [%s]"
-                          t i s value x)))))
-  in
+     retired.  The second pass decodes again rather than keep the
+     results. *)
+  let horizon = Array.copy retired in
+  for t = 0 to nthreads - 1 do
+    for i = 0 to retired.(t) - 1 do
+      for s = 0 to run.Perpetual.t_reads.(t) - 1 do
+        match decode t i s with
+        | Convert.Initial -> ()
+        | Convert.Member { store; iteration } ->
+          let w = store.Convert.thread in
+          horizon.(w) <- max horizon.(w) (iteration + 1)
+      done
+    done
+  done;
   (* Global ids, thread-major: [retired] full skeleton iterations, then
      store-only unretired iterations up to the horizon. *)
   let per_iter = Array.map Array.length skel in
@@ -124,46 +132,58 @@ let trace_of_run (conv : Convert.t) (run : Perpetual.run) =
     offsets.(t) <- !total;
     total :=
       !total
-      + (retired t * per_iter.(t))
-      + ((horizon.(t) - retired t) * stores_per_iter.(t))
+      + (retired.(t) * per_iter.(t))
+      + ((horizon.(t) - retired.(t)) * stores_per_iter.(t))
   done;
   let id_of_store (store : Convert.store) ~iteration =
-    let t = store.Convert.thread in
-    if iteration < retired t then
-      offsets.(t)
-      + (iteration * per_iter.(t))
-      + Hashtbl.find full_pos.(t) store.Convert.instr_index
+    let t = store.Convert.thread and instr = store.Convert.instr_index in
+    if iteration < retired.(t) then
+      offsets.(t) + (iteration * per_iter.(t)) + full_pos.(t).(instr)
     else
       offsets.(t)
-      + (retired t * per_iter.(t))
-      + ((iteration - retired t) * stores_per_iter.(t))
-      + Hashtbl.find store_pos.(t) store.Convert.instr_index
+      + (retired.(t) * per_iter.(t))
+      + ((iteration - retired.(t)) * stores_per_iter.(t))
+      + store_pos.(t).(instr)
   in
   Array.init nthreads (fun t ->
-      let full = retired t * per_iter.(t) in
-      let tail = (horizon.(t) - retired t) * stores_per_iter.(t) in
+      let full = retired.(t) * per_iter.(t) in
+      let tail = (horizon.(t) - retired.(t)) * stores_per_iter.(t) in
+      (* immutable, so one value per skeleton write serves every
+         iteration *)
+      let writes =
+        Array.map
+          (function
+            | S_write x -> Solver.T_write x
+            | S_fence | S_read _ -> Solver.T_fence)
+          skel.(t)
+      in
       let tail_stores =
-        Array.to_list skel.(t)
-        |> List.filter_map (function S_write x -> Some x | _ -> None)
+        Array.to_list writes
+        |> List.filter (function Solver.T_write _ -> true | _ -> false)
         |> Array.of_list
       in
-      Array.init (full + tail) (fun j ->
-          if j < full then begin
-            let i = j / per_iter.(t) and idx = j mod per_iter.(t) in
-            match skel.(t).(idx) with
-            | S_write x -> Solver.T_write x
-            | S_fence -> Solver.T_fence
-            | S_read (x, s) ->
-              Solver.T_read
-                ( x,
-                  Option.map
-                    (fun (store, iteration) -> id_of_store store ~iteration)
-                    decoded.(t).(i).(s) )
-          end
-          else
-            (* an unretired iteration observed through another thread's
-               read: only its stores are certain to have executed *)
-            Solver.T_write tail_stores.((j - full) mod stores_per_iter.(t))))
+      let trace = Array.make (full + tail) Solver.T_fence in
+      for i = 0 to retired.(t) - 1 do
+        Array.iteri
+          (fun idx skel_ev ->
+            trace.((i * per_iter.(t)) + idx) <-
+              (match skel_ev with
+              | S_read (x, s) ->
+                Solver.T_read
+                  ( x,
+                    match decode t i s with
+                    | Convert.Initial -> None
+                    | Convert.Member { store; iteration } ->
+                      Some (id_of_store store ~iteration) )
+              | S_write _ | S_fence -> writes.(idx)))
+          skel.(t)
+      done;
+      (* an unretired iteration observed through another thread's read:
+         only its stores are certain to have executed *)
+      for j = 0 to tail - 1 do
+        trace.(full + j) <- tail_stores.(j mod stores_per_iter.(t))
+      done;
+      trace)
 
 let verify ~model conv run =
   match trace_of_run conv run with

@@ -13,20 +13,38 @@ module E = Event_graph
 
 (* ---------- flat problem events ---------- *)
 
-(* The solver core works on a flat event array so litmus tests and whole
+(* The solver core works on flat arrays so litmus tests and whole
    perpetual-run traces share one engine.  Program order is the index
-   order of same-thread events. *)
-type ekind =
-  | K_write of string
-  | K_read of string
-  | K_fence
-  | K_flush of string
+   order of same-thread events; locations are interned to dense ints in
+   first-appearance order, once per problem. *)
+type kind = Write | Read | Fence | Flush
 
-type pev = { thread : int; kind : ekind }
+type events = {
+  n : int;
+  thread : int array;
+  kind : kind array;
+  loc : int array;  (* interned location, -1 for fences *)
+  loc_names : string array;
+}
 
-let loc_of = function
-  | K_write x | K_read x | K_flush x -> Some x
-  | K_fence -> None
+(* Problems touch a handful of locations, so interning is a linear scan;
+   [String.equal] short-circuits on the physically shared names a trace
+   repeats. *)
+type interner = { mutable names : string array }
+
+let intern it x =
+  let rec find i =
+    if i = Array.length it.names then begin
+      it.names <- Array.append it.names [| x |];
+      i
+    end
+    else if String.equal it.names.(i) x then i
+    else find (i + 1)
+  in
+  find 0
+
+let bad_source () =
+  invalid_arg "Solver: rf source is not a same-location write"
 
 type verdict = {
   consistent : bool;
@@ -36,138 +54,104 @@ type verdict = {
   backtracks : int;           (* abandoned branches *)
 }
 
-(* ---------- graphs with chain-decomposed reachability ---------- *)
+(* ---------- graphs on flat arrays ---------- *)
 
-(* Every graph is a union of chains (paths) plus extra edges.  Each event
-   records its (chain, position) memberships, and after a topological pass
-   a vector clock per node holds, for each chain, the highest position
-   that reaches it — making reachability queries O(memberships). *)
+(* CSR construction in two passes over one generator: the first counts
+   the entries of each key, the second fills them in.  The values of key
+   [u] end up at [out.(off.(u)) .. out.(off.(u + 1) - 1)]. *)
+let csr n gen =
+  let off = Array.make (n + 1) 0 in
+  gen (fun k _ -> off.(k + 1) <- off.(k + 1) + 1);
+  for u = 1 to n do
+    off.(u) <- off.(u) + off.(u - 1)
+  done;
+  let out = Array.make off.(n) 0 and cursor = Array.sub off 0 n in
+  gen (fun k v ->
+      out.(cursor.(k)) <- v;
+      cursor.(k) <- cursor.(k) + 1);
+  (off, out)
+
+(* A graph's static edges (program-order chains, rf, fr) in CSR form.
+   Once a coherence choice is open, a vector clock per node holds, for
+   each live merge chain (see [merge]), the highest position on that
+   chain that reaches the node — the only reachability [find_step]
+   asks about. *)
 type graph = {
   gname : string;
-  adj : int list array;
-  memb : (int * int) list array;  (* event -> (chain, position) *)
-  nchains : int;
-  vc : int array array;  (* node -> chain -> max position reaching it *)
-  indeg : int array;     (* scratch for the topological pass *)
-  topo : int array;      (* scratch: topological order of node ids *)
+  off : int array;
+  tgt : int array;
+  mutable vc : int array;
+      (* [v * ncols + col]: highest position of merge chain [col]
+         reaching [v] (reflexively); allocated by the first clocked
+         sweep *)
 }
-
-let mk_graph name n chains extra =
-  let adj = Array.make n [] in
-  let memb = Array.make n [] in
-  let nchains = List.length chains in
-  List.iteri
-    (fun c ids ->
-      List.iteri (fun p id -> memb.(id) <- (c, p) :: memb.(id)) ids;
-      let rec link = function
-        | a :: (b :: _ as rest) ->
-          adj.(a) <- b :: adj.(a);
-          link rest
-        | [ _ ] | [] -> ()
-      in
-      link ids)
-    chains;
-  List.iter (fun (u, v) -> adj.(u) <- v :: adj.(u)) extra;
-  {
-    gname = name;
-    adj;
-    memb;
-    nchains;
-    vc = Array.init n (fun _ -> Array.make (max 1 nchains) (-1));
-    indeg = Array.make n 0;
-    topo = Array.make n 0;
-  }
-
-(* Topological sort (cycle check) + vector-clock pass. *)
-let recompute n g =
-  let indeg = g.indeg and topo = g.topo in
-  Array.fill indeg 0 n 0;
-  for u = 0 to n - 1 do
-    List.iter (fun v -> indeg.(v) <- indeg.(v) + 1) g.adj.(u)
-  done;
-  let count = ref 0 in
-  for u = 0 to n - 1 do
-    if indeg.(u) = 0 then begin
-      topo.(!count) <- u;
-      incr count
-    end
-  done;
-  let head = ref 0 in
-  while !head < !count do
-    let u = topo.(!head) in
-    incr head;
-    List.iter
-      (fun v ->
-        indeg.(v) <- indeg.(v) - 1;
-        if indeg.(v) = 0 then begin
-          topo.(!count) <- v;
-          incr count
-        end)
-      g.adj.(u)
-  done;
-  if !count < n then Error (Printf.sprintf "cycle in %s graph" g.gname)
-  else begin
-    let nc = g.nchains in
-    for v = 0 to n - 1 do
-      Array.fill g.vc.(v) 0 (max 1 nc) (-1)
-    done;
-    for i = 0 to n - 1 do
-      let u = topo.(i) in
-      let vu = g.vc.(u) in
-      List.iter
-        (fun v ->
-          let vv = g.vc.(v) in
-          for c = 0 to nc - 1 do
-            if vu.(c) > vv.(c) then vv.(c) <- vu.(c)
-          done;
-          List.iter
-            (fun (c, p) -> if p > vv.(c) then vv.(c) <- p)
-            g.memb.(u))
-        g.adj.(u)
-    done;
-    Ok ()
-  end
-
-(* Valid only between a [recompute] and the next edge addition. *)
-let reaches g a b =
-  List.exists (fun (c, p) -> g.vc.(b).(c) >= p) g.memb.(a)
 
 (* ---------- solver state ---------- *)
 
 (* Coherence for one multi-writer location: per-writer-thread chains of
-   write ids (po-forced by uniproc) merged into one total order. *)
+   write ids (po-forced by uniproc) merged into one total order.  Chain
+   [ci] is vector-clock column [col0 + ci]. *)
 type merge = {
   mloc : string;
   chains : int array array;
+  col0 : int;
   idx : int array;        (* next unmerged position per chain *)
   mutable last : int;     (* most recently merged write, -1 at start *)
   mutable remaining : int;
 }
 
+(* Growable int stack. *)
+type stack = { mutable a : int array; mutable len : int }
+
+let spush s x =
+  if s.len = Array.length s.a then begin
+    let a = Array.make (max 16 (2 * s.len)) 0 in
+    Array.blit s.a 0 a 0 s.len;
+    s.a <- a
+  end;
+  s.a.(s.len) <- x;
+  s.len <- s.len + 1
+
 type state = {
   n : int;
   uni : graph;
   mg : graph;
-  merges : merge list;
-  readers : int list array;  (* write id -> reads sourced from it *)
-  mutable trail : (unit -> unit) list;
+  merges : merge array;
+  ncols : int;
+  roff : int array;  (* readers, CSR: write id -> reads sourced from it *)
+  rds : int array;
+  (* Coherence edges added by [append], shared by both graphs: a stack of
+     (src, dst) threaded into per-source lists through [dnext]/[dhead],
+     so undo truncates it. *)
+  dsrc : stack;
+  ddst : stack;
+  dnext : stack;
+  dhead : int array;
+  indeg : int array;  (* scratch for the topological sweep *)
+  queue : int array;
+  mutable trail : (unit -> unit) list;  (* merge-cursor restores *)
   mutable decisions : int;
   mutable backtracks : int;
 }
 
 let push st f = st.trail <- f :: st.trail
 
-let add_edge st g u v =
-  g.adj.(u) <- v :: g.adj.(u);
-  push st (fun () -> g.adj.(u) <- List.tl g.adj.(u))
-
 let add_edge2 st u v =
-  add_edge st st.uni u v;
-  add_edge st st.mg u v
+  spush st.dsrc u;
+  spush st.ddst v;
+  spush st.dnext st.dhead.(u);
+  st.dhead.(u) <- st.dsrc.len - 1
 
-let undo_to st saved =
+let undo_to st (edges, trail) =
+  while st.dsrc.len > edges do
+    let e = st.dsrc.len - 1 in
+    st.dhead.(st.dsrc.a.(e)) <- st.dnext.a.(e);
+    st.dsrc.len <- e;
+    st.ddst.len <- e;
+    st.dnext.len <- e
+  done;
   let rec go l =
-    if l != saved then
+    if l != trail then
       match l with
       | f :: rest ->
         f ();
@@ -175,7 +159,77 @@ let undo_to st saved =
       | [] -> assert false
   in
   go st.trail;
-  st.trail <- saved
+  st.trail <- trail
+
+(* Kahn's topological sweep over static and coherence edges; false on a
+   cycle.  With [clocks] the same sweep fills [g.vc]: every merge-chain
+   write starts from its own position, and every node, once dequeued
+   (all predecessors done), pushes its clock to its successors. *)
+let sweep st g ~clocks =
+  let n = st.n and nc = st.ncols and indeg = st.indeg and queue = st.queue in
+  Array.fill indeg 0 n 0;
+  Array.iter (fun v -> indeg.(v) <- indeg.(v) + 1) g.tgt;
+  for e = 0 to st.ddst.len - 1 do
+    let v = st.ddst.a.(e) in
+    indeg.(v) <- indeg.(v) + 1
+  done;
+  if clocks then begin
+    if Array.length g.vc = 0 then g.vc <- Array.make (n * nc) (-1)
+    else Array.fill g.vc 0 (n * nc) (-1);
+    Array.iter
+      (fun m ->
+        Array.iteri
+          (fun ci chain ->
+            Array.iteri (fun p w -> g.vc.((w * nc) + m.col0 + ci) <- p) chain)
+          m.chains)
+      st.merges
+  end;
+  let count = ref 0 in
+  for u = 0 to n - 1 do
+    if indeg.(u) = 0 then begin
+      queue.(!count) <- u;
+      incr count
+    end
+  done;
+  let visit u v =
+    if clocks then begin
+      let vc = g.vc and bu = u * nc and bv = v * nc in
+      for c = 0 to nc - 1 do
+        if vc.(bu + c) > vc.(bv + c) then vc.(bv + c) <- vc.(bu + c)
+      done
+    end;
+    let d = indeg.(v) - 1 in
+    indeg.(v) <- d;
+    if d = 0 then begin
+      queue.(!count) <- v;
+      incr count
+    end
+  in
+  let head = ref 0 in
+  while !head < !count do
+    let u = queue.(!head) in
+    incr head;
+    for j = g.off.(u) to g.off.(u + 1) - 1 do
+      visit u g.tgt.(j)
+    done;
+    let e = ref st.dhead.(u) in
+    while !e >= 0 do
+      visit u st.ddst.a.(!e);
+      e := st.dnext.a.(!e)
+    done
+  done;
+  !count = n
+
+let acyclic st ~clocks =
+  let cycle g = Error (Printf.sprintf "cycle in %s graph" g.gname) in
+  if not (sweep st st.uni ~clocks) then cycle st.uni
+  else if not (sweep st st.mg ~clocks) then cycle st.mg
+  else Ok ()
+
+(* Does the head of merge chain [col] (at position [pos]) reach node [b],
+   [b] being another node?  Valid only between a clocked sweep and the
+   next edge addition. *)
+let reaches st g ~col ~pos b = g.vc.((b * st.ncols) + col) >= pos
 
 (* Append the head of chain [ci] as the next write in [m]'s coherence
    order.  Materializes exactly the forced consequences: ws from the
@@ -194,7 +248,9 @@ let append st m ci =
       m.last <- prev);
   if prev >= 0 then begin
     add_edge2 st prev h;
-    List.iter (fun r -> add_edge2 st r h) st.readers.(prev)
+    for j = st.roff.(prev) to st.roff.(prev + 1) - 1 do
+      add_edge2 st st.rds.(j) h
+    done
   end;
   Array.iteri
     (fun cj chain ->
@@ -212,7 +268,7 @@ let nonempty_chains m =
 (* A merge down to one live chain is pure materialization: the rest of the
    order is po-forced, so no reachability data is needed. *)
 let drain_single_chains st =
-  List.iter
+  Array.iter
     (fun m ->
       if m.remaining > 0 then
         match nonempty_chains m with
@@ -238,27 +294,29 @@ exception Conflict_at of string
 let find_step st =
   let forced = ref None in
   let choice = ref None in
-  List.iter
+  Array.iter
     (fun m ->
       if m.remaining > 0 then begin
-        let heads =
-          List.map (fun ci -> (ci, m.chains.(ci).(m.idx.(ci)))) (nonempty_chains m)
-        in
-        let blocked (ci, h) =
+        let heads = nonempty_chains m in
+        let blocked ci =
+          let h = m.chains.(ci).(m.idx.(ci)) in
           List.exists
-            (fun (cj, h') ->
-              cj <> ci
-              && (reaches st.uni h' h || reaches st.mg h' h
-                 || List.exists
-                      (fun r -> reaches st.uni h' r || reaches st.mg h' r)
-                      st.readers.(h)))
+            (fun cj ->
+              let col = m.col0 + cj and pos = m.idx.(cj) in
+              let reached v =
+                reaches st st.uni ~col ~pos v || reaches st st.mg ~col ~pos v
+              in
+              let rec any_reader j =
+                j < st.roff.(h + 1)
+                && (reached st.rds.(j) || any_reader (j + 1))
+              in
+              cj <> ci && (reached h || any_reader st.roff.(h)))
             heads
         in
-        match List.filter (fun hd -> not (blocked hd)) heads with
+        match List.filter (fun ci -> not (blocked ci)) heads with
         | [] -> raise (Conflict_at m.mloc)
-        | [ (ci, _) ] -> if !forced = None then forced := Some (m, ci)
-        | cis ->
-          if !choice = None then choice := Some (m, List.map fst cis)
+        | [ ci ] -> if Option.is_none !forced then forced := Some (m, ci)
+        | cis -> if Option.is_none !choice then choice := Some (m, cis)
       end)
     st.merges;
   match (!forced, !choice) with
@@ -266,18 +324,17 @@ let find_step st =
   | None, Some (m, cis) -> Choice (m, cis)
   | None, None -> Done
 
-let recompute2 st =
-  match recompute st.n st.uni with
-  | Error _ as e -> e
-  | Ok () -> recompute st.n st.mg
-
 (* DPLL over the coherence orders: propagate (drain + forced appends,
-   re-checking acyclicity incrementally after each) and branch only on
-   free interleaving points, undoing via the trail. *)
+   re-checking acyclicity after each) and branch only on free
+   interleaving points, undoing via the edge stack and the trail.  With
+   no merge left open, the check is two plain topological sweeps. *)
 let rec solve st =
   drain_single_chains st;
-  match recompute2 st with
+  (* after draining, every unfinished merge has two or more live chains *)
+  let open_choice = Array.exists (fun m -> m.remaining > 0) st.merges in
+  match acyclic st ~clocks:open_choice with
   | Error reason -> Error reason
+  | Ok () when not open_choice -> Ok ()
   | Ok () -> (
     match find_step st with
     | Done -> Ok ()
@@ -292,7 +349,7 @@ let rec solve st =
             (Printf.sprintf "exhausted coherence interleavings for [%s]"
                m.mloc)
         | ci :: rest -> (
-          let saved = st.trail in
+          let saved = (st.dsrc.len, st.trail) in
           append st m ci;
           match solve st with
           | Ok () -> Ok ()
@@ -308,214 +365,200 @@ let rec solve st =
 
 (* ---------- static construction ---------- *)
 
-let build ~(model : Operational.model) ~(events : pev array)
-    ~(rf : int option array) ~(extra : (int * int) list) =
-  let n = Array.length events in
-  let nthreads =
-    Array.fold_left (fun m e -> max m (e.thread + 1)) 0 events
-  in
-  let by_thread = Array.make nthreads [] in
-  for id = n - 1 downto 0 do
-    by_thread.(events.(id).thread) <- id :: by_thread.(events.(id).thread)
+(* [rf.(r)] is read [r]'s source write, or -1 for the initial value. *)
+let build ~(model : Operational.model) (ev : events) ~(rf : int array)
+    ~(extra : (int * int) list) =
+  let n = ev.n and thread = ev.thread and kind = ev.kind and loc = ev.loc in
+  let nt = Array.fold_left (fun m t -> max m (t + 1)) 0 thread in
+  let nl = Array.length ev.loc_names in
+  let tl id = (thread.(id) * nl) + loc.(id) in
+  for r = 0 to n - 1 do
+    if kind.(r) = Read then begin
+      let w = rf.(r) in
+      if w >= 0 && (w >= n || kind.(w) <> Write || loc.(w) <> loc.(r)) then
+        bad_source ()
+    end
   done;
-  let locs =
-    let seen = Hashtbl.create 8 in
-    let acc = ref [] in
-    Array.iter
-      (fun e ->
-        match loc_of e.kind with
-        | Some x when not (Hashtbl.mem seen x) ->
-          Hashtbl.add seen x ();
-          acc := x :: !acc
-        | _ -> ())
-      events;
-    List.rev !acc
+  (* Per-(thread, location) write chains, linked through [next_write]:
+     the po-forced spine of every coherence order. *)
+  let first_write = Array.make (nt * nl) (-1) in
+  let next_write = Array.make n (-1) in
+  let last = Array.make (nt * nl) (-1) in
+  for id = 0 to n - 1 do
+    if kind.(id) = Write then begin
+      let k = tl id in
+      if last.(k) < 0 then first_write.(k) <- id
+      else next_write.(last.(k)) <- id;
+      last.(k) <- id
+    end
+  done;
+  (* A fresh set of [slots] program-order chains: [link k id] makes [id]
+     the next element of chain [k]. *)
+  let chains slots edge =
+    let tail = Array.make slots (-1) in
+    fun k id ->
+      if tail.(k) >= 0 then edge tail.(k) id;
+      tail.(k) <- id
   in
-  let is_write id = match events.(id).kind with K_write _ -> true | _ -> false in
-  let is_read id = match events.(id).kind with K_read _ -> true | _ -> false in
-  let is_fence id = match events.(id).kind with K_fence -> true | _ -> false in
-  let eloc id = loc_of events.(id).kind in
-  (* Per-(thread, location) write chains: the po-forced spine of every
-     coherence order. *)
-  let writes_tl = Hashtbl.create 16 in
-  Array.iteri
-    (fun t ids ->
-      List.iter
-        (fun id ->
-          if is_write id then
-            let x = Option.get (eloc id) in
-            let cur =
-              Option.value ~default:[] (Hashtbl.find_opt writes_tl (t, x))
-            in
-            Hashtbl.replace writes_tl (t, x) (id :: cur))
-        ids)
-    by_thread;
-  let writes_of t x =
-    List.rev (Option.value ~default:[] (Hashtbl.find_opt writes_tl (t, x)))
+  (* rf, initial-read fr, and po-forced fr edges; [rf_edge] filters the
+     rf edges the graph keeps. *)
+  let data_edges edge ~rf_edge =
+    for r = 0 to n - 1 do
+      if kind.(r) = Read then begin
+        let w = rf.(r) in
+        if w >= 0 then begin
+          if rf_edge w r then edge w r;
+          (* fr to the source's po-successor write: coherence-after the
+             source in every completion *)
+          if next_write.(w) >= 0 then edge r next_write.(w)
+        end
+        else
+          (* reading the initial value: fr to the first write of every
+             thread's chain (the chains carry it to the rest) *)
+          for t = 0 to nt - 1 do
+            let w0 = first_write.((t * nl) + loc.(r)) in
+            if w0 >= 0 then edge r w0
+          done
+      end
+    done;
+    List.iter (fun (u, v) -> edge u v) extra
   in
   (* uniproc: po-loc as per-(thread, location) chains over every located
      event (writes, reads, flushes). *)
-  let uni_chains =
-    List.concat_map
-      (fun x ->
-        Array.to_list by_thread
-        |> List.filter_map (fun ids ->
-               match List.filter (fun id -> eloc id = Some x) ids with
-               | [] -> None
-               | chain -> Some chain))
-      locs
+  let uni_edges edge =
+    let link = chains (nt * nl) edge in
+    for id = 0 to n - 1 do
+      if kind.(id) <> Fence then link (tl id) id
+    done;
+    data_edges edge ~rf_edge:(fun _ _ -> true)
   in
   (* Model graph: reduced per-thread chains whose closure over memory
      events equals ppo ∪ fenced (flushes are not memory events under
      TSO/PSO and are excluded there). *)
-  let mg_chains, mg_extra =
+  let mg_edges edge =
     match model with
-    | Operational.Sc -> (Array.to_list by_thread, [])
+    | Operational.Sc ->
+      let link = chains nt edge in
+      for id = 0 to n - 1 do
+        link thread.(id) id
+      done;
+      data_edges edge ~rf_edge:(fun _ _ -> true)
     | Operational.Tso | Operational.Pso ->
-      let chains = ref [] and extra = ref [] in
-      Array.iter
-        (fun ids ->
-          let ids = Array.of_list ids in
-          let m = Array.length ids in
-          let rf_chain =
-            Array.to_list ids |> List.filter (fun id -> is_read id || is_fence id)
-          in
-          if rf_chain <> [] then chains := rf_chain :: !chains;
-          (* One write chain under TSO (all stores drain in order), one
-             per written location under PSO (FIFO per location only). *)
-          let keeps =
-            match model with
-            | Operational.Tso -> [ is_write ]
-            | Operational.Pso ->
-              List.filter_map
-                (fun x ->
-                  if
-                    Array.exists
-                      (fun id -> is_write id && eloc id = Some x)
-                      ids
-                  then Some (fun id -> is_write id && eloc id = Some x)
-                  else None)
-                locs
-            | Operational.Sc -> assert false
-          in
-          List.iter
-            (fun keep ->
-              let chain =
-                Array.to_list ids
-                |> List.filter (fun id -> keep id || is_fence id)
-              in
-              if chain <> [] then chains := chain :: !chains;
-              (* Reads stay ordered before later writes (only W->R and,
-                 under PSO, W->W to a different location are relaxed):
-                 edge from each read to the chain's next element. *)
-              let nxt = ref (-1) in
-              for i = m - 1 downto 0 do
-                let id = ids.(i) in
-                if is_read id && !nxt >= 0 then extra := (id, !nxt) :: !extra;
-                if keep id || is_fence id then nxt := id
-              done)
-            keeps)
-        by_thread;
-      (!chains, !extra)
-  in
-  (* rf, initial-read fr, and po-forced fr edges. *)
-  let uni_extra = ref [] and mg_rf_extra = ref [] in
-  let both = ref extra in
-  let readers = Array.make n [] in
-  (* next same-thread write to the same location, for po-forced fr *)
-  let next_write = Array.make n (-1) in
-  Hashtbl.iter
-    (fun _ rev_ids ->
-      let rec go = function
-        | a :: (b :: _ as rest) ->
-          next_write.(b) <- a;
-          go rest
-        | [ _ ] | [] -> ()
+      (* Per thread: a chain of reads and fences, and write chains that
+         carry the fences too — one under TSO (all stores drain in
+         order), one per written location under PSO (FIFO per location
+         only).  Write chain [k] of thread [t] is slot [t * nk + k]. *)
+      let nk = if model = Operational.Tso then 1 else nl in
+      let key id = if model = Operational.Tso then 0 else loc.(id) in
+      let keeps t k =
+        model = Operational.Tso || first_write.((t * nl) + k) >= 0
       in
-      go rev_ids)
-    writes_tl;
-  Array.iteri
-    (fun r src ->
-      if is_read r then begin
-        let x = Option.get (eloc r) in
-        match src with
-        | Some w ->
-          (match events.(w).kind with
-          | K_write y when y = x -> ()
-          | _ -> invalid_arg "Solver: rf source is not a same-location write");
-          readers.(w) <- r :: readers.(w);
-          uni_extra := (w, r) :: !uni_extra;
-          (match model with
-          | Operational.Sc -> mg_rf_extra := (w, r) :: !mg_rf_extra
-          | Operational.Tso | Operational.Pso ->
-            if events.(w).thread <> events.(r).thread then
-              mg_rf_extra := (w, r) :: !mg_rf_extra);
-          (* fr to the source's po-successor write: coherence-after the
-             source in every completion *)
-          if next_write.(w) >= 0 then both := (r, next_write.(w)) :: !both
-        | None ->
-          (* reading the initial value: fr to the first write of every
-             thread's chain (the chains carry it to the rest) *)
-          for t = 0 to nthreads - 1 do
-            match writes_of t x with
-            | w0 :: _ -> both := (r, w0) :: !both
-            | [] -> ()
+      let link_r = chains nt edge and link_w = chains (nt * nk) edge in
+      for id = 0 to n - 1 do
+        let t = thread.(id) in
+        match kind.(id) with
+        | Read -> link_r t id
+        | Write -> link_w ((t * nk) + key id) id
+        | Fence ->
+          link_r t id;
+          for k = 0 to nk - 1 do
+            if keeps t k then link_w ((t * nk) + k) id
           done
-      end)
-    rf;
-  let uni =
-    mk_graph "uniproc" n uni_chains (!uni_extra @ !both)
+        | Flush -> ()
+      done;
+      (* Reads stay ordered before later writes (only W->R and, under
+         PSO, W->W to a different location are relaxed): an edge from
+         each read to every write chain's next element. *)
+      let next = Array.make (nt * nk) (-1) in
+      for id = n - 1 downto 0 do
+        let t = thread.(id) in
+        match kind.(id) with
+        | Read ->
+          for k = 0 to nk - 1 do
+            if next.((t * nk) + k) >= 0 then edge id next.((t * nk) + k)
+          done
+        | Write -> next.((t * nk) + key id) <- id
+        | Fence ->
+          for k = 0 to nk - 1 do
+            if keeps t k then next.((t * nk) + k) <- id
+          done
+        | Flush -> ()
+      done;
+      data_edges edge ~rf_edge:(fun w r -> thread.(w) <> thread.(r))
   in
-  let mg =
-    mk_graph
-      (Operational.model_to_string model)
-      n mg_chains
-      (mg_extra @ !mg_rf_extra @ !both)
+  let graph gname gen =
+    let off, tgt = csr n gen in
+    { gname; off; tgt; vc = [||] }
   in
-  (* Coherence merges for locations written by more than one thread. *)
+  let roff, rds =
+    csr n (fun emit ->
+        for r = 0 to n - 1 do
+          if kind.(r) = Read && rf.(r) >= 0 then emit rf.(r) r
+        done)
+  in
+  (* Coherence merges for locations written by more than one thread, in
+     first-appearance order, with chains in thread order. *)
+  let write_chain k =
+    let rec collect w acc =
+      if w < 0 then Array.of_list (List.rev acc)
+      else collect next_write.(w) (w :: acc)
+    in
+    collect first_write.(k) []
+  in
+  let ncols = ref 0 in
   let merges =
-    List.filter_map
-      (fun x ->
-        let chains =
-          List.init nthreads (fun t -> writes_of t x)
-          |> List.filter (fun c -> c <> [])
-          |> List.map Array.of_list
-        in
-        if List.length chains < 2 then None
-        else
-          let chains = Array.of_list chains in
+    List.init nl (fun x ->
+        match
+          List.filter
+            (fun k -> first_write.(k) >= 0)
+            (List.init nt (fun t -> (t * nl) + x))
+        with
+        | [] | [ _ ] -> None
+        | ks ->
+          let chains = Array.of_list (List.map write_chain ks) in
+          let col0 = !ncols in
+          ncols := col0 + Array.length chains;
           Some
             {
-              mloc = x;
+              mloc = ev.loc_names.(x);
               chains;
+              col0;
               idx = Array.make (Array.length chains) 0;
               last = -1;
               remaining =
                 Array.fold_left (fun a c -> a + Array.length c) 0 chains;
             })
-      locs
+    |> List.filter_map Fun.id |> Array.of_list
   in
-  { n; uni; mg; merges; readers; trail = []; decisions = 0; backtracks = 0 }
+  {
+    n;
+    uni = graph "uniproc" uni_edges;
+    mg = graph (Operational.model_to_string model) mg_edges;
+    merges;
+    ncols = !ncols;
+    roff;
+    rds;
+    dsrc = { a = [||]; len = 0 };
+    ddst = { a = [||]; len = 0 };
+    dnext = { a = [||]; len = 0 };
+    dhead = Array.make n (-1);
+    indeg = Array.make n 0;
+    queue = Array.make n 0;
+    trail = [];
+    decisions = 0;
+    backtracks = 0;
+  }
 
-let solve_exec ~model ~events ~rf ~extra =
-  let st = build ~model ~events ~rf ~extra in
-  match solve st with
-  | Ok () ->
-    {
-      consistent = true;
-      events = st.n;
-      violation = None;
-      decisions = st.decisions;
-      backtracks = st.backtracks;
-    }
-  | Error reason ->
-    {
-      consistent = false;
-      events = st.n;
-      violation = Some reason;
-      decisions = st.decisions;
-      backtracks = st.backtracks;
-    }
+let solve_exec ~model ev ~rf ~extra =
+  let st = build ~model ev ~rf ~extra in
+  let result = solve st in
+  {
+    consistent = Result.is_ok result;
+    events = st.n;
+    violation = (match result with Ok () -> None | Error reason -> Some reason);
+    decisions = st.decisions;
+    backtracks = st.backtracks;
+  }
 
 (* ---------- whole-trace verification ---------- *)
 
@@ -526,23 +569,33 @@ type trace_event =
 
 let classify_trace model threads =
   let n = Array.fold_left (fun a t -> a + Array.length t) 0 threads in
-  let events = Array.make n { thread = 0; kind = K_fence } in
-  let rf = Array.make n None in
+  let thread = Array.make n 0 and kind = Array.make n Fence in
+  let loc = Array.make n (-1) and rf = Array.make n (-1) in
+  let it = { names = [||] } in
   let id = ref 0 in
   Array.iteri
     (fun t evs ->
       Array.iter
         (fun ev ->
+          let i = !id in
+          thread.(i) <- t;
           (match ev with
-          | T_write x -> events.(!id) <- { thread = t; kind = K_write x }
+          | T_write x ->
+            kind.(i) <- Write;
+            loc.(i) <- intern it x
           | T_read (x, src) ->
-            events.(!id) <- { thread = t; kind = K_read x };
-            rf.(!id) <- src
-          | T_fence -> events.(!id) <- { thread = t; kind = K_fence });
+            kind.(i) <- Read;
+            loc.(i) <- intern it x;
+            rf.(i) <-
+              (match src with
+              | None -> -1
+              | Some w -> if w < 0 then bad_source () else w)
+          | T_fence -> ());
           incr id)
         evs)
     threads;
-  solve_exec ~model ~events ~rf ~extra:[]
+  solve_exec ~model { n; thread; kind; loc; loc_names = it.names } ~rf
+    ~extra:[]
 
 (* ---------- litmus-test interface ---------- *)
 
@@ -553,7 +606,7 @@ let classify_trace model threads =
 
 type problem = {
   test : Ast.t;
-  pevents : pev array;
+  pevents : events;
   evs : E.event list;  (* Event_graph view, same ids *)
   preads : E.event list;
   wvalue : int array;  (* write id -> stored value *)
@@ -562,21 +615,28 @@ type problem = {
 let problem_of_test test =
   let evs = E.events_of_test test in
   let n = List.length evs in
-  let pevents = Array.make n { thread = 0; kind = K_fence } in
+  let thread = Array.make n 0 and kind = Array.make n Fence in
+  let names = Array.make n None in
   let wvalue = Array.make n 0 in
   List.iter
     (fun (e : E.event) ->
-      let kind =
-        match e.kind with
-        | E.Write (x, a) ->
+      thread.(e.id) <- e.thread;
+      names.(e.id) <- E.location e.kind;
+      kind.(e.id) <-
+        (match e.kind with
+        | E.Write (_, a) ->
           wvalue.(e.id) <- a;
-          K_write x
-        | E.Read (_, x) -> K_read x
-        | E.Fence -> K_fence
-        | E.Flush x -> K_flush x
-      in
-      pevents.(e.id) <- { thread = e.thread; kind })
+          Write
+        | E.Read _ -> Read
+        | E.Fence -> Fence
+        | E.Flush _ -> Flush))
     evs;
+  let it = { names = [||] } in
+  let loc = Array.make n (-1) in
+  Array.iteri
+    (fun id x -> Option.iter (fun x -> loc.(id) <- intern it x) x)
+    names;
+  let pevents = { n; thread; kind; loc; loc_names = it.names } in
   { test; pevents; evs; preads = E.reads evs; wvalue }
 
 (* Sound po-local prunes (each rejected choice is a uniproc cycle): a
@@ -616,15 +676,18 @@ let domain p (r : E.event) =
    with the outcome it denotes. *)
 let enumerate ?(domains = []) ~model p ~extra yield =
   let reads = p.preads in
-  let rf = Array.make (Array.length p.pevents) None in
+  let rf = Array.make p.pevents.n None in
   let dom (r : E.event) =
     match List.assq_opt r domains with Some d -> d | None -> domain p r
   in
   let rec go = function
     | [] ->
       let v =
-        solve_exec ~model ~events:p.pevents
-          ~rf:(Array.map (Option.map (fun (w : E.event) -> w.id)) rf)
+        solve_exec ~model p.pevents
+          ~rf:
+            (Array.map
+               (function Some (w : E.event) -> w.id | None -> -1)
+               rf)
           ~extra
       in
       if v.consistent then begin

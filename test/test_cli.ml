@@ -116,6 +116,22 @@ let test_emit () =
   expect_ok ~grep:"sb_counth.c"
     (Printf.sprintf "emit sb -o %s" (Filename.quote (scratch ^ "/emit")))
 
+(* Builds and runs the native harness when a C toolchain is present.  The
+   schedule is real hardware's, so nothing is asserted about counts. *)
+let test_emit_native () =
+  if Sys.command "command -v cc > /dev/null 2>&1" = 0 then begin
+    let dir = scratch ^ "/native" in
+    expect_ok ~grep:"running native harness"
+      (Printf.sprintf "emit sb --native --native-iterations 1000 -o %s"
+         (Filename.quote dir));
+    if Lazy.force have_binary then
+      List.iter
+        (fun exe ->
+          check Alcotest.bool (exe ^ " built") true
+            (Sys.file_exists (Filename.concat dir exe)))
+        [ "sb_native"; "sb_c11" ]
+  end
+
 let test_export () =
   expect_ok ~grep:"sb.litmus"
     (Printf.sprintf "export -o %s" (Filename.quote (scratch ^ "/litmus")))
@@ -430,6 +446,7 @@ let test_bad_iterations () =
       ("litmus7 sb -n 0", "-n must be positive");
       ("trace sb -n 0", "-n must be positive");
       ("submit c sb -n 0", "-n must be positive");
+      ("emit sb --native-iterations 0", "--native-iterations must be positive");
     ]
 
 let test_bad_jobs () =
@@ -580,6 +597,7 @@ let suite =
         Alcotest.test_case "generate" `Quick test_generate;
         Alcotest.test_case "generate named" `Quick test_generate_named;
         Alcotest.test_case "emit" `Quick test_emit;
+        Alcotest.test_case "emit --native" `Quick test_emit_native;
         Alcotest.test_case "export" `Quick test_export;
         Alcotest.test_case "experiment table2" `Quick test_experiment_table2;
         Alcotest.test_case "parse file" `Quick test_parse_file;

@@ -8,4 +8,4 @@ let () =
    @ Test_generate.suite @ Test_soundness.suite @ Test_observe.suite
    @ Test_persistency.suite @ Test_journal.suite @ Test_service.suite
    @ Test_coordinator.suite @ Test_cli.suite
-   @ Test_misc.suite)
+   @ Test_trace_verdicts.suite @ Test_misc.suite)
