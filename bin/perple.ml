@@ -66,6 +66,7 @@ let at_least lo flag v =
   else must_be flag (if lo > 0 then "positive" else "non-negative")
 
 let bounded lo flag arg = Term.(const (at_least lo flag) $ arg)
+let bounded_opt lo flag arg = Term.(const (Option.map (at_least lo flag)) $ arg)
 
 (* A flag over a closed set of names, parsed and printed by the name
    table that owns its type. *)
@@ -1541,17 +1542,22 @@ let quick_arg =
     & info [ "quick" ] ~doc:"Use small iteration counts (smoke-test scale).")
 
 let opt_iterations_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "n"; "iterations" ] ~docv:"N" ~doc:"Override iteration count.")
+  bounded_opt 1 "-n"
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "n"; "iterations" ] ~docv:"N"
+          ~doc:"Override iteration count (positive).")
 
 let opt_seed_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "seed" ] ~docv:"SEED"
-        ~doc:"Override the experiment seed (default: the paper-run seed).")
+  bounded_opt 0 "--seed"
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "seed" ] ~docv:"SEED"
+          ~doc:
+            "Override the experiment seed (non-negative; default: the \
+             paper-run seed).")
 
 let params_of quick iterations seed =
   let base =

@@ -447,6 +447,9 @@ let test_bad_iterations () =
       ("trace sb -n 0", "-n must be positive");
       ("submit c sb -n 0", "-n must be positive");
       ("emit sb --native-iterations 0", "--native-iterations must be positive");
+      ("suite -n 0", "-n must be positive");
+      ("suite --iterations=-5", "-n must be positive");
+      ("experiment fig9 --quick -n 0", "-n must be positive");
     ]
 
 let test_bad_jobs () =
@@ -465,6 +468,8 @@ let test_bad_flag_values () =
       ("run sb --seed=-5", "--seed must be non-negative");
       ("litmus7 sb --seed=-5", "--seed must be non-negative");
       ("submit c sb --seed=-5", "--seed must be non-negative");
+      ("suite --quick --seed=-1", "--seed must be non-negative");
+      ("experiment fig9 --quick --seed=-1", "--seed must be non-negative");
       ("run sb --stress=-1", "--stress must be non-negative");
       ("run sb --counter exh --cap=-3", "--cap must be positive");
       ("supervise sb --max-retries=-1", "--max-retries must be non-negative");

@@ -415,36 +415,55 @@ let test_mutual_exclusivity_dispatch () =
     (Count.mutually_exclusive conv_mp [ snd (List.hd outcomes_mp) ])
 
 (* Byte-identical counts from the factorized kernels and the reference
-   odometers, on arbitrary convertible programs.  Run length shrinks with
-   T_L so the reference stays affordable. *)
-let check_factorized_agreement ?(seed = 17) test =
+   odometers: first-match and independent over the test's convertible
+   outcomes (the first [max_outcomes] of them), and first-match over the
+   target alone.  Run length shrinks with T_L so the reference stays
+   affordable.  Returns the kernel pairs that disagree. *)
+let check_factorized_agreement ?(seed = 17)
+    ?(iterations =
+      fun ~tl -> if tl >= 3 then 16 else if tl = 2 then 64 else 256)
+    ?(max_outcomes = 12) test =
   match Convert.convert_body test with
-  | Error _ -> true (* not convertible; nothing to compare *)
+  | Error _ -> [] (* not convertible; nothing to compare *)
   | Ok conv ->
-    let tl = Array.length conv.Convert.load_threads in
-    let iterations = if tl >= 3 then 16 else if tl = 2 then 64 else 256 in
     let run =
       Perpetual.run ~rng:(Rng.create seed) ~image:conv.Convert.image
-        ~t_reads:conv.Convert.t_reads ~iterations ()
+        ~t_reads:conv.Convert.t_reads
+        ~iterations:(iterations ~tl:(Array.length conv.Convert.load_threads))
+        ()
+    in
+    let convertible =
+      List.filter_map (fun o -> Result.to_option (OC.convert conv o))
     in
     let outcomes =
-      List.filteri
-        (fun i _ -> i < 12)
-        (List.filter_map
-           (fun o -> Result.to_option (OC.convert conv o))
-           (Outcome.all test))
+      List.filteri (fun i _ -> i < max_outcomes) (convertible (Outcome.all test))
     in
-    outcomes = []
-    || ((Count.exhaustive conv ~outcomes ~run).Count.counts
-        = (Count.exhaustive_reference conv ~outcomes ~run).Count.counts
-       && (Count.exhaustive_independent conv ~outcomes ~run).Count.counts
-          = (Count.exhaustive_independent_reference conv ~outcomes ~run)
-              .Count.counts)
+    let target =
+      match Outcome.of_condition test with
+      | Ok o -> convertible [ o ]
+      | Error _ -> []
+    in
+    List.filter_map
+      (fun (pair, factorized, reference, outcomes) ->
+        if
+          outcomes = []
+          || (factorized conv ~outcomes ~run).Count.counts
+             = (reference conv ~outcomes ~run).Count.counts
+        then None
+        else Some pair)
+      [
+        ("first-match", Count.exhaustive, Count.exhaustive_reference, outcomes);
+        ( "independent",
+          Count.exhaustive_independent,
+          Count.exhaustive_independent_reference,
+          outcomes );
+        ("target-only", Count.exhaustive, Count.exhaustive_reference, target);
+      ]
 
 let factorized_agrees_random =
   QCheck.Test.make ~name:"factorized = reference (random tests)" ~count:600
     (Gen.arbitrary_test ~max_threads:3 ~max_instrs:3 ())
-    check_factorized_agreement
+    (fun test -> check_factorized_agreement test = [])
 
 let factorized_agrees_cycles =
   QCheck.Test.make ~name:"factorized = reference (generated cycles)"
@@ -456,7 +475,25 @@ let factorized_agrees_cycles =
       in
       match Perple_litmus.Generate.of_cycle ~name:"prop" cycle with
       | Error _ -> true
-      | Ok test -> check_factorized_agreement ~seed test)
+      | Ok test -> check_factorized_agreement ~seed test = [])
+
+(* The whole catalog at longer runs and with every convertible outcome. *)
+let test_factorized_agrees_catalog () =
+  List.iter
+    (fun (e : Catalog.entry) ->
+      let test = e.Catalog.test in
+      match
+        check_factorized_agreement ~seed:11 ~max_outcomes:max_int
+          ~iterations:(fun ~tl ->
+            if tl >= 4 then 12 else if tl = 3 then 40 else if tl = 2 then 300
+            else 600)
+          test
+      with
+      | [] -> ()
+      | pairs ->
+        Alcotest.failf "%s: factorized and reference disagree (%s)"
+          test.Ast.name (String.concat ", " pairs))
+    Catalog.suite
 
 (* --- Engine -------------------------------------------------------------- *)
 
@@ -527,6 +564,8 @@ let suite =
           test_mutual_exclusivity_dispatch;
         QCheck_alcotest.to_alcotest factorized_agrees_random;
         QCheck_alcotest.to_alcotest factorized_agrees_cycles;
+        Alcotest.test_case "factorized = reference (catalog)" `Slow
+          test_factorized_agrees_catalog;
       ] );
     ( "core.engine",
       [

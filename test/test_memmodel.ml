@@ -8,12 +8,17 @@ module Outcome = Perple_litmus.Outcome
 module Catalog = Perple_litmus.Catalog
 module Operational = Perple_memmodel.Operational
 module Axiomatic = Perple_memmodel.Axiomatic
+module Generate = Perple_litmus.Generate
+module Rng = Perple_util.Rng
 
 let check = Alcotest.check
 
 let outcome_set model test = Operational.reachable_outcomes model test
 
 let labels outcomes = List.map Outcome.short_label outcomes
+
+let same_outcomes a b =
+  List.length a = List.length b && List.for_all2 Outcome.equal a b
 
 (* --- Known outcome sets -------------------------------------------------- *)
 
@@ -120,10 +125,7 @@ let test_agreement_catalog () =
         (fun model ->
           let op = Operational.reachable_outcomes model test in
           let ax = Axiomatic.reachable_outcomes model test in
-          if
-            List.length op <> List.length ax
-            || not (List.for_all2 Outcome.equal op ax)
-          then
+          if not (same_outcomes op ax) then
             Alcotest.failf "%s under %s: operational and axiomatic disagree"
               test.Ast.name
               (Operational.model_to_string model))
@@ -237,10 +239,7 @@ let test_pso_agreement_catalog () =
       let test = e.Catalog.test in
       let op = Operational.reachable_outcomes Operational.Pso test in
       let ax = Axiomatic.reachable_outcomes Operational.Pso test in
-      if
-        List.length op <> List.length ax
-        || not (List.for_all2 Outcome.equal op ax)
-      then
+      if not (same_outcomes op ax) then
         Alcotest.failf "%s under PSO: operational and axiomatic disagree"
           test.Ast.name)
     Catalog.suite
@@ -251,10 +250,9 @@ let agreement_property =
     (fun test ->
       List.for_all
         (fun model ->
-          let op = Operational.reachable_outcomes model test in
-          let ax = Axiomatic.reachable_outcomes model test in
-          List.length op = List.length ax
-          && List.for_all2 Outcome.equal op ax)
+          same_outcomes
+            (Operational.reachable_outcomes model test)
+            (Axiomatic.reachable_outcomes model test))
         [ Operational.Sc; Operational.Tso; Operational.Pso ])
 
 let sc_subset_property =
@@ -272,6 +270,11 @@ module Solver = Perple_memmodel.Solver
 
 let models = [ Operational.Sc; Operational.Tso; Operational.Pso ]
 
+let three_backends_agree model test =
+  let op = Operational.reachable_outcomes model test in
+  same_outcomes op (Axiomatic.reachable_outcomes model test)
+  && same_outcomes op (Solver.reachable_outcomes model test)
+
 let test_solver_agreement_catalog () =
   List.iter
     (fun (e : Catalog.entry) ->
@@ -280,10 +283,7 @@ let test_solver_agreement_catalog () =
         (fun model ->
           let op = Operational.reachable_outcomes model test in
           let sv = Solver.reachable_outcomes model test in
-          if
-            List.length op <> List.length sv
-            || not (List.for_all2 Outcome.equal op sv)
-          then
+          if not (same_outcomes op sv) then
             Alcotest.failf "%s under %s: solver and operational disagree"
               test.Ast.name
               (Operational.model_to_string model))
@@ -334,16 +334,43 @@ let solver_agreement_property =
     ~count:300
     (Gen.arbitrary_test ~max_threads:3 ~max_instrs:2 ())
     (fun test ->
-      List.for_all
+      List.for_all (fun model -> three_backends_agree model test) models)
+
+(* [count] cycle-generated tests from a fixed seed. *)
+let generated_tests count =
+  let rng = Rng.create 97 in
+  let rec go acc n =
+    if n = count then List.rev acc
+    else
+      match
+        Generate.of_cycle ~name:(Printf.sprintf "gen%d" n)
+          (Generate.random_cycle rng ~max_edges:5)
+      with
+      | Error _ -> go acc n
+      | Ok test -> go (test :: acc) (n + 1)
+  in
+  go [] 0
+
+(* The catalog, the non-convertible tests and 1000 generated tests: the
+   three backends reach the same outcomes, and the solver decides final
+   conditions as the axiomatic checker does. *)
+let test_three_backends_sweep () =
+  List.iter
+    (fun test ->
+      List.iter
         (fun model ->
-          let op = Operational.reachable_outcomes model test in
-          let ax = Axiomatic.reachable_outcomes model test in
-          let sv = Solver.reachable_outcomes model test in
-          List.length op = List.length ax
-          && List.for_all2 Outcome.equal op ax
-          && List.length op = List.length sv
-          && List.for_all2 Outcome.equal op sv)
+          if
+            not
+              (three_backends_agree model test
+              && Axiomatic.condition_reachable model test
+                 = Solver.final_condition_reachable model test)
+          then
+            Alcotest.failf "%s under %s: backends disagree\n%s" test.Ast.name
+              (Operational.model_to_string model)
+              (Perple_litmus.Printer.to_string test))
         models)
+    (List.map (fun (e : Catalog.entry) -> e.Catalog.test) Catalog.suite
+    @ Catalog.non_convertible @ generated_tests 1_000)
 
 (* --- Solver trace verification -------------------------------------------- *)
 
@@ -461,6 +488,8 @@ let suite =
           test_solver_final_memory;
         Alcotest.test_case "forall semantics" `Quick test_solver_forall;
         QCheck_alcotest.to_alcotest solver_agreement_property;
+        Alcotest.test_case "three backends (catalog + generated)" `Slow
+          test_three_backends_sweep;
       ] );
     ( "memmodel.solver-trace",
       [
