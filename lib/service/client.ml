@@ -1,14 +1,12 @@
 (* The client half of the protocol, sans-IO first (so the chaos suite
-   can drive thousands of schedules without a socket), then the small
-   blocking driver the CLI uses. *)
+   can drive thousands of schedules without a socket), then the
+   reconnecting submitter the CLI uses. *)
 
-module Framed = Perple_util.Framed
 module Metrics = Perple_util.Metrics
-module Supervisor = Perple_harness.Supervisor
 
-type config = { heartbeat_every : int; liveness_timeout : int }
+type config = Link.config = { heartbeat_every : int; liveness_timeout : int }
 
-let default_config = { heartbeat_every = 1_000; liveness_timeout = 10_000 }
+let default_config = Link.default_config
 
 type outcome = {
   digest : string;
@@ -40,47 +38,33 @@ type phase =
   | Terminal of status
 
 type t = {
-  config : config;
   spec : Wire.spec;
   on_progress : (progress -> unit) option;
-  inbound : Framed.buf;
-  outbound : Framed.buf;
+  channel : Link.channel;
   mutable phase : phase;
-  mutable last_seen : int;
-  mutable last_beat : int;
   mutable progress : progress option;
   mutable retry_hint : int option;
       (** Ticks the daemon asked us to wait ([Busy]) before retrying. *)
 }
 
-let send t frame =
-  Framed.add_string t.outbound (Wire.encode frame);
-  Metrics.incr "service.client.frames_out"
-
-let create ?(config = default_config) ?(peer = "perple-client") ?on_progress
-    ~spec ~now () =
+let create ?config ?(peer = "perple-client") ?on_progress ~spec ~now () =
   let t =
     {
-      config;
       spec;
       on_progress;
-      inbound = Framed.create ();
-      outbound = Framed.create ();
+      channel = Link.channel ?config ~metrics:"service.client" ~now ();
       phase = Awaiting_hello;
-      last_seen = now;
-      last_beat = now;
       progress = None;
       retry_hint = None;
     }
   in
-  send t (Wire.Hello { version = Wire.protocol_version; peer });
+  Link.send t.channel (Wire.Hello { version = Wire.protocol_version; peer });
   t
 
-let output t = t.outbound
-
+let output t = Link.output t.channel
 let status t = match t.phase with Terminal s -> s | _ -> Pending
+let pending t = match t.phase with Terminal _ -> false | _ -> true
 let progress t = t.progress
-let retry_hint t = t.retry_hint
 
 let fail t reason =
   match t.phase with
@@ -90,241 +74,145 @@ let fail t reason =
     t.phase <- Terminal (Failed reason)
 
 let finish t outcome =
-  send t Wire.Drain;
+  Link.send t.channel Wire.Drain;
   Metrics.incr "service.client.completed";
   t.phase <- Terminal (Done outcome)
 
 let on_frame t frame =
-  Metrics.incr "service.client.frames_in";
-  match t.phase with
-  | Terminal _ -> ()
-  | _ -> (
-    match frame with
-    | Wire.Heartbeat _ -> ()
-    | Wire.Error { code; message } ->
-      fail t (Printf.sprintf "%s: %s" (Wire.error_code_name code) message)
-    | Wire.Hello { version; _ } -> (
-      match t.phase with
-      | Awaiting_hello ->
-        if version <> Wire.protocol_version then
-          fail t
-            (Printf.sprintf "protocol: daemon speaks version %d, want %d"
-               version Wire.protocol_version)
-        else begin
-          t.phase <- Awaiting_accept;
-          send t (Wire.Submit t.spec)
-        end
-      | _ -> fail t "protocol: unexpected hello")
-    | Wire.Accepted { campaign; digest; runs; completed } -> (
-      match t.phase with
-      | Awaiting_accept ->
-        if campaign <> t.spec.Wire.campaign then
-          fail t (Printf.sprintf "protocol: accepted foreign campaign %S" campaign)
-        else if runs <> t.spec.Wire.runs then
-          fail t
-            (Printf.sprintf "protocol: accepted %d runs, submitted %d" runs
-               t.spec.Wire.runs)
-        else
-          t.phase <-
-            Streaming
-              { digest; completed_at_accept = completed; total = runs;
-                got = []; next = 0 }
-      | _ -> fail t "protocol: unexpected accepted frame")
-    | Wire.Run_record { campaign; index; record } -> (
-      match t.phase with
-      | Streaming s ->
-        if campaign <> t.spec.Wire.campaign then
-          fail t (Printf.sprintf "protocol: record for foreign campaign %S" campaign)
-        else if index <> s.next then
-          (* The stream contract is strict index order; a gap means the
-             transport or daemon lost data. *)
-          fail t
-            (Printf.sprintf "protocol: record %d arrived, expected %d" index
-               s.next)
-        else begin
-          s.got <- record :: s.got;
-          s.next <- s.next + 1
-        end
-      | _ -> fail t "protocol: record before accept")
-    | Wire.Metrics_chunk { campaign; payload } -> (
-      match t.phase with
-      | Streaming s ->
-        if campaign <> t.spec.Wire.campaign then
-          fail t (Printf.sprintf "protocol: metrics for foreign campaign %S" campaign)
-        else if s.next <> s.total then
-          fail t
-            (Printf.sprintf
-               "protocol: metrics chunk after %d of %d records" s.next s.total)
-        else
-          finish t
-            {
-              digest = s.digest;
-              completed_at_accept = s.completed_at_accept;
-              records = List.rev s.got;
-              metrics = payload;
-            }
-      | _ -> fail t "protocol: metrics before accept")
-    | Wire.Busy { retry_after } ->
-      (* Rate-limited: a retryable verdict carrying the daemon's own
-         back-off hint, honoured by [submit_blocking]. *)
-      t.retry_hint <- Some retry_after;
-      fail t (Printf.sprintf "busy: daemon asked for %d ticks of backoff" retry_after)
-    | Wire.Progress p -> (
-      match t.phase with
-      | Awaiting_accept | Streaming _ ->
-        if p.campaign <> t.spec.Wire.campaign then
-          fail t
-            (Printf.sprintf "protocol: progress for foreign campaign %S" p.campaign)
-        else begin
-          let progress =
-            {
-              runs_total = p.runs_total;
-              runs_done = p.runs_done;
-              shards_done = p.shards_done;
-              shards_leased = p.shards_leased;
-              shards_failed = p.shards_failed;
-            }
-          in
-          t.progress <- Some progress;
-          match t.on_progress with None -> () | Some f -> f progress
-        end
-      | _ -> fail t "protocol: progress before handshake")
-    | Wire.Submit _ | Wire.Cancel _ | Wire.Drain ->
-      fail t
-        (Printf.sprintf "protocol: client-only frame %s from daemon"
-           (Wire.frame_name frame))
-    | Wire.Worker_hello _ | Wire.Lease_renew _ | Wire.Shard_result _
-    | Wire.Shard_failed _ | Wire.Lease _ | Wire.Revoke _ ->
-      fail t
-        (Printf.sprintf "protocol: worker frame %s on a client connection"
-           (Wire.frame_name frame)))
+  match frame with
+  | Wire.Heartbeat _ -> ()
+  | Wire.Error { code; message } ->
+    fail t (Printf.sprintf "%s: %s" (Wire.error_code_name code) message)
+  | Wire.Hello { version; _ } -> (
+    match t.phase with
+    | Awaiting_hello ->
+      if version <> Wire.protocol_version then
+        fail t
+          (Printf.sprintf "protocol: daemon speaks version %d, want %d"
+             version Wire.protocol_version)
+      else begin
+        t.phase <- Awaiting_accept;
+        Link.send t.channel (Wire.Submit t.spec)
+      end
+    | _ -> fail t "protocol: unexpected hello")
+  | Wire.Accepted { campaign; digest; runs; completed } -> (
+    match t.phase with
+    | Awaiting_accept ->
+      if campaign <> t.spec.Wire.campaign then
+        fail t (Printf.sprintf "protocol: accepted foreign campaign %S" campaign)
+      else if runs <> t.spec.Wire.runs then
+        fail t
+          (Printf.sprintf "protocol: accepted %d runs, submitted %d" runs
+             t.spec.Wire.runs)
+      else
+        t.phase <-
+          Streaming
+            { digest; completed_at_accept = completed; total = runs;
+              got = []; next = 0 }
+    | _ -> fail t "protocol: unexpected accepted frame")
+  | Wire.Run_record { campaign; index; record } -> (
+    match t.phase with
+    | Streaming s ->
+      if campaign <> t.spec.Wire.campaign then
+        fail t (Printf.sprintf "protocol: record for foreign campaign %S" campaign)
+      else if index <> s.next then
+        (* The stream contract is strict index order; a gap means the
+           transport or daemon lost data. *)
+        fail t
+          (Printf.sprintf "protocol: record %d arrived, expected %d" index
+             s.next)
+      else begin
+        s.got <- record :: s.got;
+        s.next <- s.next + 1
+      end
+    | _ -> fail t "protocol: record before accept")
+  | Wire.Metrics_chunk { campaign; payload } -> (
+    match t.phase with
+    | Streaming s ->
+      if campaign <> t.spec.Wire.campaign then
+        fail t (Printf.sprintf "protocol: metrics for foreign campaign %S" campaign)
+      else if s.next <> s.total then
+        fail t
+          (Printf.sprintf
+             "protocol: metrics chunk after %d of %d records" s.next s.total)
+      else
+        finish t
+          {
+            digest = s.digest;
+            completed_at_accept = s.completed_at_accept;
+            records = List.rev s.got;
+            metrics = payload;
+          }
+    | _ -> fail t "protocol: metrics before accept")
+  | Wire.Busy { retry_after } ->
+    (* Rate-limited: a retryable verdict carrying the daemon's own
+       back-off hint, honoured by [submit_blocking]. *)
+    t.retry_hint <- Some retry_after;
+    fail t (Printf.sprintf "busy: daemon asked for %d ticks of backoff" retry_after)
+  | Wire.Progress p -> (
+    match t.phase with
+    | Awaiting_accept | Streaming _ ->
+      if p.campaign <> t.spec.Wire.campaign then
+        fail t
+          (Printf.sprintf "protocol: progress for foreign campaign %S" p.campaign)
+      else begin
+        let progress =
+          {
+            runs_total = p.runs_total;
+            runs_done = p.runs_done;
+            shards_done = p.shards_done;
+            shards_leased = p.shards_leased;
+            shards_failed = p.shards_failed;
+          }
+        in
+        t.progress <- Some progress;
+        match t.on_progress with None -> () | Some f -> f progress
+      end
+    | _ -> fail t "protocol: progress before handshake")
+  | Wire.Submit _ | Wire.Cancel _ | Wire.Drain ->
+    fail t
+      (Printf.sprintf "protocol: client-only frame %s from daemon"
+         (Wire.frame_name frame))
+  | Wire.Worker_hello _ | Wire.Lease_renew _ | Wire.Shard_result _
+  | Wire.Shard_failed _ | Wire.Lease _ | Wire.Revoke _ ->
+    fail t
+      (Printf.sprintf "protocol: worker frame %s on a client connection"
+         (Wire.frame_name frame))
 
 let input t ~now bytes =
-  match t.phase with
-  | Terminal _ -> ()
-  | _ ->
-    if String.length bytes > 0 then t.last_seen <- now;
-    Framed.add_string t.inbound bytes;
-    let rec drain () =
-      match t.phase with
-      | Terminal _ -> ()
-      | _ -> (
-        match Wire.next_frame t.inbound with
-        | `Need_more -> ()
-        | `Corrupt m -> fail t (Printf.sprintf "corrupt stream: %s" m)
-        | `Frame f ->
-          on_frame t f;
-          drain ())
-    in
-    drain ()
+  Link.receive t.channel ~now bytes
+    ~live:(fun () -> pending t)
+    ~corrupt:(fun m -> fail t (Printf.sprintf "corrupt stream: %s" m))
+    ~frame:(on_frame t)
 
-let eof t ~now =
-  ignore now;
-  match t.phase with Terminal _ -> () | _ -> fail t "disconnected"
+let eof t ~now:_ = fail t "disconnected"
 
 let tick t ~now =
-  match t.phase with
-  | Terminal _ -> ()
-  | _ ->
-    if now - t.last_seen >= t.config.liveness_timeout then
-      fail t
-        (Printf.sprintf "timed out: no traffic in %d ticks" (now - t.last_seen))
-    else if now - t.last_beat >= t.config.heartbeat_every then begin
-      t.last_beat <- now;
-      send t (Wire.Heartbeat { sent_at = now })
-    end
+  if pending t then
+    match Link.beat t.channel ~now with
+    | `Timed_out m -> fail t ("timed out: " ^ m)
+    | `Beat | `Quiet -> ()
 
-(* --- retry classification --------------------------------------------------- *)
-
-let retryable reason =
-  (* Transport loss and draining daemons are transient; everything the
-     daemon said "no" to is a verdict. *)
-  let has_prefix p = String.length reason >= String.length p
-                     && String.sub reason 0 (String.length p) = p in
-  has_prefix "disconnected" || has_prefix "timed out"
-  || has_prefix "corrupt stream" || has_prefix "draining"
-  || has_prefix "connect:" || has_prefix "busy"
+let retryable = Link.retryable
 
 (* --- blocking driver -------------------------------------------------------- *)
-
-let drive_connection ?on_progress ~socket ~spec () =
-  match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
-  | exception Unix.Unix_error (e, _, _) ->
-    (Failed (Printf.sprintf "connect: %s" (Unix.error_message e)), None)
-  | fd -> (
-    match Unix.connect fd (Unix.ADDR_UNIX socket) with
-    | exception Unix.Unix_error (e, _, _) ->
-      Unix.close fd;
-      (Failed (Printf.sprintf "connect: %s" (Unix.error_message e)), None)
-    | () ->
-      Unix.set_nonblock fd;
-      let epoch = Unix.gettimeofday () in
-      let now () = int_of_float ((Unix.gettimeofday () -. epoch) *. 1000.) in
-      let t = create ?on_progress ~spec ~now:(now ()) () in
-      (* A daemon killed mid-write must classify as a retryable
-         disconnect, not SIGPIPE this process. *)
-      let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-      let finally () =
-        Sys.set_signal Sys.sigpipe old_pipe;
-        try Unix.close fd with Unix.Unix_error _ -> ()
-      in
-      Fun.protect ~finally @@ fun () ->
-      let rec loop () =
-        match status t with
-        | (Done _ | Failed _) as s when Framed.is_empty t.outbound ->
-          (s, retry_hint t)
-        | s -> (
-          match s with
-          | Failed _ | Done _ ->
-            (* Terminal but unsent bytes (the [Drain]); flush best-effort. *)
-            (match Framed.write_from fd t.outbound with
-            | `Wrote _ | `Would_block -> ()
-            | `Closed | `Error _ -> Framed.consume t.outbound (Framed.length t.outbound));
-            loop ()
-          | Pending ->
-            let writers = if Framed.is_empty t.outbound then [] else [ fd ] in
-            (match Unix.select [ fd ] writers [] 0.05 with
-            | readable, writable, _ ->
-              (if writable <> [] then
-                 match Framed.write_from fd t.outbound with
-                 | `Wrote _ | `Would_block -> ()
-                 | `Closed | `Error _ -> eof t ~now:(now ()));
-              (if readable <> [] then
-                 let stage = Framed.create () in
-                 match Framed.read_into fd stage with
-                 | `Read _ -> input t ~now:(now ()) (Framed.take_all stage)
-                 | `Would_block -> ()
-                 | `Closed | `Error _ -> eof t ~now:(now ()))
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-            tick t ~now:(now ());
-            loop ())
-      in
-      loop ())
 
 let submit_blocking ~socket ?(attempts = 5) ?(backoff = 2.0)
     ?(initial_delay_ms = 50) ?on_progress ~spec () =
   if attempts < 1 then invalid_arg "Client.submit_blocking: attempts < 1";
-  (* Reuse the supervisor's budget-growth rounding for the retry sleeps:
-     one discipline for "try again, less eagerly" across the repo. *)
-  let policy =
-    { Supervisor.watchdog_rounds = max_int; min_retired = 1;
-      max_retries = attempts - 1; backoff }
-  in
-  let rec go attempt delay_ms =
-    match drive_connection ?on_progress ~socket ~spec () with
-    | Done outcome, _ -> Ok outcome
-    | Pending, _ -> assert false
-    | Failed reason, hint ->
-      if attempt + 1 < attempts && retryable reason then begin
-        Metrics.incr "service.client.retries";
-        (* A [Busy] daemon knows its own refill schedule better than our
-           exponential guess: sleep at least what it asked for. *)
-        let delay_ms =
-          match hint with Some h -> max delay_ms h | None -> delay_ms
-        in
-        Unix.sleepf (float_of_int delay_ms /. 1000.);
-        go (attempt + 1) (Supervisor.backed_off policy delay_ms)
-      end
-      else Error reason
-  in
-  go 0 initial_delay_ms
+  (* The default SIGINT/SIGTERM still end a submit: nothing to drain. *)
+  Link.with_signals ~catch_stop:false @@ fun stop ->
+  Link.reconnect (`Unix_socket socket) ~attempts ~backoff ~initial_delay_ms
+    ~stop ~on_retry:(fun _ _ -> Metrics.incr "service.client.retries")
+  @@ fun fd ->
+  let t = create ?on_progress ~spec ~now:(Link.now ()) () in
+  (* The pump closes the socket once the machine is terminal and its last
+     bytes (the [Drain]) are written. *)
+  Link.drive ~stop fd ~input:(input t) ~eof:(eof t) ~tick:(tick t)
+    ~output:(output t) ~finished:(fun () -> not (pending t))
+    ~busy:(fun () -> false);
+  match status t with
+  | Done outcome -> Link.Finished outcome
+  | Failed reason ->
+    Link.Lost { reason; worked = false; retry_after = t.retry_hint }
+  | Pending -> assert false (* [drive] returns once the machine is done *)

@@ -8,13 +8,11 @@
     moves the machine to [Failed] with a reason — a client can always
     classify how its submission ended, never hang.
 
-    {!submit_blocking} drives the machine over a real socket and
-    retries retryable failures (disconnects, timeouts, draining
-    daemons) with the {!Perple_harness.Supervisor.backed_off} growth
-    discipline; retrying is safe because submits are idempotent per
-    campaign id and the daemon re-streams from the journal. *)
+    {!submit_blocking} runs the machine on {!Link.drive} inside
+    {!Link.reconnect}; retrying is safe because submits are idempotent
+    per campaign id and the daemon re-streams from the journal. *)
 
-type config = { heartbeat_every : int; liveness_timeout : int }
+type config = Link.config = { heartbeat_every : int; liveness_timeout : int }
 
 val default_config : config
 
@@ -57,9 +55,7 @@ val progress : t -> progress option
 (** The most recent progress update, if any arrived. *)
 
 val retryable : string -> bool
-(** Whether a [Failed] reason is worth a reconnection (transport-level
-    loss, a draining daemon, or a [Busy] rate-limit verdict) rather
-    than a verdict (rejection, protocol error). *)
+(** Whether a [Failed] reason is worth a reconnection: {!Link.retryable}. *)
 
 val submit_blocking :
   socket:string ->
@@ -71,8 +67,5 @@ val submit_blocking :
   unit ->
   (outcome, string) result
 (** Connect to the daemon at [socket], run the machine to a terminal
-    status, and retry retryable failures up to [attempts] times with
-    exponentially grown sleeps ([initial_delay_ms] scaled by [backoff]
-    per retry, {!Perple_harness.Supervisor.backed_off} rounding).  When
-    the daemon answers [Busy], the sleep honours its retry-after hint
-    if that is longer than the backoff's own delay. *)
+    status, and retry retryable failures up to [attempts] times; a
+    [Busy] daemon's retry-after hint lengthens the sleep. *)

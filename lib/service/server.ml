@@ -1,11 +1,11 @@
-(* Daemon core (sans-IO) and its select-loop driver.
+(* Daemon core (sans-IO) and its driver.
 
    The core never blocks and never touches a socket: connections are
    integer ids, time is an integer the driver advances, and all bytes
-   move through explicit [input]/[flush] calls.  The driver at the
-   bottom of this file is deliberately dumb — accept, read, tick,
-   write, close — so that everything the chaos suite exercises is
-   exactly what production runs. *)
+   move through explicit [input]/[flush] calls.  [serve] hands the core
+   to [Link.serve], whose pump only accepts, reads, ticks, writes and
+   closes, so everything the chaos suite exercises is exactly what
+   production runs. *)
 
 module Framed = Perple_util.Framed
 module Metrics = Perple_util.Metrics
@@ -318,186 +318,20 @@ let drain t ~now =
 
 (* --- real transport -------------------------------------------------------- *)
 
-(* A live socket plus its staging buffers.  [stage] collects raw reads
-   before they are handed to the core; [out] collects core output until
-   the socket accepts it. *)
-type io_conn = { fd : Unix.file_descr; stage : Framed.buf; out : Framed.buf }
-
-let now_ms epoch = int_of_float ((Unix.gettimeofday () -. epoch) *. 1000.)
-
-(* A socket file can be a live daemon or the debris of a dead one; only
-   a connection attempt can tell which. *)
-let claim_unix_socket path =
-  if Sys.file_exists path then begin
-    let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let live =
-      match Unix.connect probe (Unix.ADDR_UNIX path) with
-      | () -> true
-      | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) ->
-        false
-      | exception Unix.Unix_error _ -> false
-    in
-    Unix.close probe;
-    if live then Error (Printf.sprintf "socket %s: a daemon is already listening" path)
-    else begin
-      (try Sys.remove path with Sys_error _ -> ());
-      Ok ()
-    end
-  end
-  else Ok ()
-
-let listen_unix path =
-  match claim_unix_socket path with
-  | Error _ as e -> e
-  | Ok () ->
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try
-       Unix.bind fd (Unix.ADDR_UNIX path);
-       Unix.listen fd 64;
-       Unix.set_nonblock fd;
-       Ok fd
-     with Unix.Unix_error (e, _, _) ->
-       Unix.close fd;
-       Error (Printf.sprintf "socket %s: %s" path (Unix.error_message e)))
-
-let listen_tcp port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  try
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    Unix.listen fd 64;
-    Unix.set_nonblock fd;
-    Ok fd
-  with Unix.Unix_error (e, _, _) ->
-    Unix.close fd;
-    Error (Printf.sprintf "tcp port %d: %s" port (Unix.error_message e))
-
 let serve ~socket ?tcp_port ?(jobs = 1) ?session_config ?coordinator ~journal
     () =
-  match Scheduler.create ~jobs ~journal () with
-  | Error _ as e -> e
-  | Ok scheduler -> (
-    let finish_scheduler () = Scheduler.close scheduler in
-    let config =
-      Option.value coordinator ~default:(default_coordinator_config ~jobs)
-    in
-    match Coordinator.create ~config ~scheduler () with
-    | Error m ->
-      finish_scheduler ();
-      Error m
-    | Ok coordinator -> (
-    match listen_unix socket with
-    | Error m ->
-      finish_scheduler ();
-      Error m
-    | Ok unix_fd -> (
-      let tcp =
-        match tcp_port with
-        | None -> Ok None
-        | Some p -> Result.map Option.some (listen_tcp p)
-      in
-      match tcp with
-      | Error m ->
-        Unix.close unix_fd;
-        (try Sys.remove socket with Sys_error _ -> ());
-        finish_scheduler ();
-        Error m
-      | Ok tcp_fd ->
-        let core = create ?session_config ~coordinator ~scheduler () in
-        let epoch = Unix.gettimeofday () in
-        let stop = ref None in
-        let handler s = stop := Some s in
-        let old_int = Sys.signal Sys.sigint (Sys.Signal_handle handler) in
-        let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle handler) in
-        (* A client that vanishes mid-write must surface as [`Closed]
-           (EPIPE) on that one connection, not kill the daemon. *)
-        let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-        let listeners = unix_fd :: Option.to_list tcp_fd in
-        let ios : (int, io_conn) Hashtbl.t = Hashtbl.create 8 in
-        let close_io id io =
-          Hashtbl.remove ios id;
-          try Unix.close io.fd with Unix.Unix_error _ -> ()
-        in
-        let accept_on lfd =
-          match Unix.accept ~cloexec:true lfd with
-          | fd, _ ->
-            Unix.set_nonblock fd;
-            let id = connect core ~now:(now_ms epoch) in
-            Hashtbl.replace ios id
-              { fd; stage = Framed.create (); out = Framed.create () }
-          | exception
-              Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-            ->
-            ()
-        in
-        let pump_io () =
-          (* Read side, then core turn, then write side. *)
-          let now = now_ms epoch in
-          Hashtbl.iter
-            (fun id io ->
-              match Framed.read_into io.fd io.stage with
-              | `Read _ -> input core ~conn:id ~now (Framed.take_all io.stage)
-              | `Would_block -> ()
-              | `Closed | `Error _ -> eof core ~conn:id ~now)
-            ios;
-          tick core ~now:(now_ms epoch);
-          let dead = ref [] in
-          Hashtbl.iter
-            (fun id io ->
-              Framed.add_string io.out (flush core ~conn:id);
-              (if not (Framed.is_empty io.out) then
-                 match Framed.write_from io.fd io.out with
-                 | `Wrote _ | `Would_block -> ()
-                 | `Closed | `Error _ ->
-                   eof core ~conn:id ~now:(now_ms epoch);
-                   Framed.consume io.out (Framed.length io.out));
-              if closed core ~conn:id && Framed.is_empty io.out then
-                dead := (id, io) :: !dead)
-            ios;
-          List.iter (fun (id, io) -> close_io id io) !dead
-        in
-        let finally () =
-          Sys.set_signal Sys.sigint old_int;
-          Sys.set_signal Sys.sigterm old_term;
-          Sys.set_signal Sys.sigpipe old_pipe;
-          Hashtbl.iter (fun _ io -> try Unix.close io.fd with _ -> ()) ios;
-          List.iter (fun fd -> try Unix.close fd with _ -> ()) listeners;
-          (try Sys.remove socket with Sys_error _ -> ());
-          finish_scheduler ()
-        in
-        Fun.protect ~finally @@ fun () ->
-        let rec loop () =
-          match !stop with
-          | Some signum ->
-            (* Drain: marker journaled, sessions told why, outputs given
-               a bounded window to reach their peers. *)
-            drain core ~now:(now_ms epoch);
-            let deadline = Unix.gettimeofday () +. 2.0 in
-            let rec flush_out () =
-              pump_io ();
-              if Hashtbl.length ios > 0 && Unix.gettimeofday () < deadline
-              then begin
-                ignore (Unix.select [] [] [] 0.02);
-                flush_out ()
-              end
-            in
-            flush_out ();
-            Ok signum
-          | None ->
-            let conn_fds = Hashtbl.fold (fun _ io acc -> io.fd :: acc) ios [] in
-            let writers =
-              Hashtbl.fold
-                (fun _ io acc ->
-                  if Framed.is_empty io.out then acc else io.fd :: acc)
-                ios []
-            in
-            (match Unix.select (listeners @ conn_fds) writers [] 0.05 with
-            | readable, _, _ ->
-              List.iter
-                (fun lfd -> if List.mem lfd readable then accept_on lfd)
-                listeners
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-            pump_io ();
-            loop ()
-        in
-        loop ())))
+  let ( let* ) = Result.bind in
+  let* scheduler = Scheduler.create ~jobs ~journal () in
+  Fun.protect ~finally:(fun () -> Scheduler.close scheduler) @@ fun () ->
+  let config =
+    Option.value coordinator ~default:(default_coordinator_config ~jobs)
+  in
+  let* coordinator = Coordinator.create ~config ~scheduler () in
+  let* listener = Link.listen ~socket ?tcp_port () in
+  let core = create ?session_config ~coordinator ~scheduler () in
+  (* The daemon never asks for an immediate turn: its in-process worker
+     runs at most one shard per 50 ms turn. *)
+  Ok
+    (Link.serve listener ~connect:(connect core) ~input:(input core)
+       ~eof:(eof core) ~tick:(tick core) ~flush:(flush core)
+       ~closed:(closed core) ~busy:(fun () -> false) ~drain:(drain core))

@@ -8,7 +8,7 @@
     index order, backpressure, heartbeats, quarantine, draining — over
     an abstract integer clock.  Tests drive it directly (through
     {!Chaos} proxies, with virtual ticks); {!serve} drives the same core
-    from a [select] loop over real sockets, adding nothing but byte
+    over real sockets with {!Link.serve}, which adds nothing but byte
     shuffling.
 
     Streaming contract (what the CI smoke job checks end to end): after
@@ -90,7 +90,7 @@ val serve :
     no flag.  Campaigns are sharded into leases by [coordinator]
     (default: {!Coordinator.default_config} with [max 4 jobs]-run
     shards); the in-process worker runs them on [jobs] domains whenever
-    no [perple worker] is connected.  Blocks until SIGINT or SIGTERM,
-    then drains (marker journaled, sessions notified, outputs flushed)
-    and returns the signal number for the caller to turn into exit
-    130/143. *)
+    no [perple worker] is connected.  Blocks in {!Link.serve} until
+    SIGINT or SIGTERM, then drains (marker journaled, sessions
+    notified, outputs flushed) and returns the signal number for the
+    caller to turn into exit 130/143. *)

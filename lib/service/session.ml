@@ -1,7 +1,6 @@
 (* Daemon-side session state machine.  Pure protocol discipline over
    virtual time; all I/O and scheduling lives in the driver. *)
 
-module Framed = Perple_util.Framed
 module Metrics = Perple_util.Metrics
 module Trace = Perple_util.Trace_event
 
@@ -50,12 +49,9 @@ type state = Expect_hello | Active | Closed of terminal
 type t = {
   sid : int;
   config : config;
-  inbound : Framed.buf;
-  outbound : Framed.buf;
+  channel : Link.channel;
   mutable state : state;
   mutable role : [ `Client | `Worker ];
-  mutable last_seen : int;  (** Clock of the most recent inbound bytes. *)
-  mutable last_beat : int;  (** Clock of our most recent heartbeat. *)
   mutable missed_marked : bool;
       (** One "heartbeats missed" tick per silent stretch, not per tick. *)
   mutable tokens : int;  (** Submit tokens left in this refill window. *)
@@ -68,12 +64,14 @@ let create ?(config = default_config) ~id ~now () =
   {
     sid = id;
     config;
-    inbound = Framed.create ();
-    outbound = Framed.create ();
+    channel =
+      Link.channel
+        ~config:
+          { Link.heartbeat_every = config.heartbeat_every;
+            liveness_timeout = config.liveness_timeout }
+        ~metrics:"service" ~now ();
     state = Expect_hello;
     role = `Client;
-    last_seen = now;
-    last_beat = now;
     missed_marked = false;
     tokens = config.submit_burst;
     refill_at = now + config.submit_refill_every;
@@ -103,27 +101,24 @@ let refill t ~now =
 let terminal t = match t.state with Closed c -> Some c | _ -> None
 let active t = t.state = Active
 
-let enqueue t frame =
-  Framed.add_string t.outbound (Wire.encode frame);
-  Metrics.incr "service.frames_out"
-
 let send t frame =
   match t.state with
   | Closed _ -> `Ok (* dropped: the peer is gone or being flushed out *)
   | Expect_hello | Active ->
     if
-      Framed.length t.outbound + String.length (Wire.encode frame)
+      Perple_util.Framed.length (Link.output t.channel)
+      + String.length (Wire.encode frame)
       > t.config.max_outbound
     then begin
       Metrics.incr "service.backpressure_stalls";
       `Overflow
     end
     else begin
-      enqueue t frame;
+      Link.send t.channel frame;
       `Ok
     end
 
-let send_control t frame = enqueue t frame
+let send_control t frame = Link.send t.channel frame
 
 let close t reason =
   match t.state with
@@ -161,7 +156,6 @@ let worker_only t frame =
     (Printf.sprintf "worker-only frame %s from client" (Wire.frame_name frame))
 
 let on_frame t ~now frame =
-  Metrics.incr "service.frames_in";
   match (t.state, frame) with
   | Closed _, _ -> []
   | Expect_hello, Wire.Hello { version; peer } ->
@@ -171,7 +165,7 @@ let on_frame t ~now frame =
            Wire.protocol_version)
     else begin
       t.state <- Active;
-      enqueue t (Wire.Hello { version = Wire.protocol_version; peer = "perpled" });
+      send_control t (Wire.Hello { version = Wire.protocol_version; peer = "perpled" });
       [ Hello_received peer ]
     end
   | Expect_hello, Wire.Worker_hello { version; worker } ->
@@ -182,7 +176,7 @@ let on_frame t ~now frame =
     else begin
       t.state <- Active;
       t.role <- `Worker;
-      enqueue t (Wire.Hello { version = Wire.protocol_version; peer = "perpled" });
+      send_control t (Wire.Hello { version = Wire.protocol_version; peer = "perpled" });
       Metrics.incr "service.workers_joined";
       [ Worker_joined worker ]
     end
@@ -226,23 +220,16 @@ let feed t ~now bytes =
   match t.state with
   | Closed _ -> [] (* quarantined or gone: input is discarded *)
   | _ ->
-    if String.length bytes > 0 then begin
-      t.last_seen <- now;
-      t.missed_marked <- false
-    end;
+    if String.length bytes > 0 then t.missed_marked <- false;
     refill t ~now;
-    Framed.add_string t.inbound bytes;
-    let rec drain acc =
-      match t.state with
-      | Closed _ -> acc
-      | _ -> (
-        match Wire.next_frame t.inbound with
-        | `Need_more -> acc
-        | `Corrupt reason ->
-          acc @ quarantine t (Printf.sprintf "corrupt frame: %s" reason)
-        | `Frame f -> drain (acc @ on_frame t ~now f))
-    in
-    drain []
+    let events = ref [] in
+    let surface more = events := !events @ more in
+    Link.receive t.channel ~now bytes
+      ~live:(fun () -> terminal t = None)
+      ~corrupt:(fun reason ->
+        surface (quarantine t (Printf.sprintf "corrupt frame: %s" reason)))
+      ~frame:(fun f -> surface (on_frame t ~now f));
+    !events
 
 let eof t ~now =
   ignore now;
@@ -251,19 +238,15 @@ let eof t ~now =
 let tick t ~now =
   match t.state with
   | Closed _ -> []
-  | _ ->
+  | _ -> (
     refill t ~now;
-    if now - t.last_seen >= t.config.liveness_timeout then begin
-      send_control t
-        (Wire.Error
-           { code = Wire.Timeout;
-             message =
-               Printf.sprintf "no traffic in %d ticks" (now - t.last_seen) });
+    match Link.beat t.channel ~now with
+    | `Timed_out message ->
+      send_control t (Wire.Error { code = Wire.Timeout; message });
       close t Timed_out
-    end
-    else begin
+    | `Beat | `Quiet ->
       if
-        now - t.last_seen >= 2 * t.config.heartbeat_every
+        Link.silence t.channel ~now >= 2 * t.config.heartbeat_every
         && not t.missed_marked
       then begin
         (* The peer owes us a heartbeat and hasn't sent one (or any other
@@ -271,11 +254,6 @@ let tick t ~now =
         Metrics.incr "service.heartbeats_missed";
         t.missed_marked <- true
       end;
-      if now - t.last_beat >= t.config.heartbeat_every then begin
-        t.last_beat <- now;
-        enqueue t (Wire.Heartbeat { sent_at = now })
-      end;
-      []
-    end
+      [])
 
-let output t = t.outbound
+let output t = Link.output t.channel

@@ -3,17 +3,15 @@
    schedules without a socket), then the reconnecting blocking driver
    behind [perple worker]. *)
 
-module Framed = Perple_util.Framed
 module Metrics = Perple_util.Metrics
-module Supervisor = Perple_harness.Supervisor
 module Engine = Perple_core.Engine
 module Ledger = Perple_core.Ledger
 module Convert = Perple_core.Convert
 module Config = Perple_sim.Config
 
-type config = { heartbeat_every : int; liveness_timeout : int }
+type config = Link.config = { heartbeat_every : int; liveness_timeout : int }
 
-let default_config = { heartbeat_every = 1_000; liveness_timeout = 10_000 }
+let default_config = Link.default_config
 
 type lease = {
   t_campaign : string;
@@ -32,43 +30,33 @@ type task = { spec : Wire.spec; digest : string; index : int }
 type status = Running | Stopped of string
 
 type t = {
-  config : config;
-  inbound : Framed.buf;
-  outbound : Framed.buf;
+  channel : Link.channel;
   mutable active : bool;  (** Hello handshake completed. *)
   mutable stopped : string option;
   mutable current : lease option;
   mutable queue : lease list;
       (** Leases granted while busy, in grant order; at most one in
           practice (the coordinator leases one shard per worker). *)
-  mutable last_seen : int;
-  mutable last_beat : int;
   mutable leases_taken : int;
 }
 
-let send t frame =
-  Framed.add_string t.outbound (Wire.encode frame);
-  Metrics.incr "service.worker.frames_out"
+let send t frame = Link.send t.channel frame
 
-let create ?(config = default_config) ?(name = "perple-worker") ~now () =
+let create ?config ?(name = "perple-worker") ~now () =
   let t =
     {
-      config;
-      inbound = Framed.create ();
-      outbound = Framed.create ();
+      channel = Link.channel ?config ~metrics:"service.worker" ~now ();
       active = false;
       stopped = None;
       current = None;
       queue = [];
-      last_seen = now;
-      last_beat = now;
       leases_taken = 0;
     }
   in
   send t (Wire.Worker_hello { version = Wire.protocol_version; worker = name });
   t
 
-let output t = t.outbound
+let output t = Link.output t.channel
 let status t = match t.stopped with Some r -> Stopped r | None -> Running
 let leases_taken t = t.leases_taken
 
@@ -88,7 +76,6 @@ let promote t =
     t.queue <- rest
 
 let on_frame t ~now frame =
-  Metrics.incr "service.worker.frames_in";
   match frame with
   | Wire.Heartbeat _ -> ()
   | Wire.Hello { version; _ } ->
@@ -159,48 +146,25 @@ let on_frame t ~now frame =
       (Printf.sprintf "protocol: unexpected %s frame" (Wire.frame_name frame))
 
 let input t ~now bytes =
-  match t.stopped with
-  | Some _ -> ()
-  | None ->
-    if String.length bytes > 0 then t.last_seen <- now;
-    Framed.add_string t.inbound bytes;
-    let rec drain () =
-      match t.stopped with
-      | Some _ -> ()
-      | None -> (
-        match Wire.next_frame t.inbound with
-        | `Need_more -> ()
-        | `Corrupt m -> stop t (Printf.sprintf "corrupt stream: %s" m)
-        | `Frame f ->
-          on_frame t ~now f;
-          drain ())
-    in
-    drain ()
+  Link.receive t.channel ~now bytes
+    ~live:(fun () -> t.stopped = None)
+    ~corrupt:(fun m -> stop t (Printf.sprintf "corrupt stream: %s" m))
+    ~frame:(on_frame t ~now)
 
-let eof t ~now =
-  ignore now;
-  if t.stopped = None then stop t "disconnected"
+let eof t ~now:_ = stop t "disconnected"
 
 let tick t ~now =
-  match t.stopped with
-  | Some _ -> ()
-  | None ->
-    if now - t.last_seen >= t.config.liveness_timeout then
-      stop t
-        (Printf.sprintf "timed out: no traffic in %d ticks" (now - t.last_seen))
-    else if now - t.last_beat >= t.config.heartbeat_every then begin
-      t.last_beat <- now;
-      send t (Wire.Heartbeat { sent_at = now });
+  if t.stopped = None then
+    match (Link.beat t.channel ~now, t.current) with
+    | `Timed_out m, _ -> stop t ("timed out: " ^ m)
+    | `Beat, Some l ->
       (* The lease renews on the same cadence as the heartbeat: one
          silence budget for both disciplines. *)
-      match t.current with
-      | Some l ->
-        send t
-          (Wire.Lease_renew
-             { campaign = l.t_campaign; shard = l.t_shard; epoch = l.t_epoch;
-               sent_at = now })
-      | None -> ()
-    end
+      send t
+        (Wire.Lease_renew
+           { campaign = l.t_campaign; shard = l.t_shard; epoch = l.t_epoch;
+             sent_at = now })
+    | (`Beat | `Quiet), _ -> ()
 
 let task t =
   if t.stopped <> None then None
@@ -280,44 +244,9 @@ let run_index ~resolved ~spec ~index =
 
 (* --- blocking driver --------------------------------------------------------- *)
 
-type address = [ `Unix_socket of string | `Tcp of int ]
-
-let connect_fd address =
-  let domain, addr =
-    match address with
-    | `Unix_socket path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
-    | `Tcp port -> (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-  in
-  match Unix.socket domain Unix.SOCK_STREAM 0 with
-  | exception Unix.Unix_error (e, _, _) ->
-    Error (Printf.sprintf "connect: %s" (Unix.error_message e))
-  | fd -> (
-    match Unix.connect fd addr with
-    | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error (Printf.sprintf "connect: %s" (Unix.error_message e))
-    | () ->
-      Unix.set_nonblock fd;
-      Ok fd)
-
-(* Same classification as the client: transport loss, draining daemons
-   and timeouts are transient; protocol verdicts are not. *)
-let retryable = Client.retryable
-
 let work_blocking ~address ?(name = "perple-worker") ?(attempts = 10)
     ?(backoff = 2.0) ?(initial_delay_ms = 100) ?(on_note = fun _ -> ()) () =
   if attempts < 1 then invalid_arg "Worker.work_blocking: attempts < 1";
-  let stop_signal = ref None in
-  let note_signal s = stop_signal := Some s in
-  let old_int = Sys.signal Sys.sigint (Sys.Signal_handle note_signal) in
-  let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle note_signal) in
-  let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  let restore () =
-    Sys.set_signal Sys.sigint old_int;
-    Sys.set_signal Sys.sigterm old_term;
-    Sys.set_signal Sys.sigpipe old_pipe
-  in
-  Fun.protect ~finally:restore @@ fun () ->
   let cache : (string, Scheduler.resolved) Hashtbl.t = Hashtbl.create 4 in
   let execute { spec; digest; index } =
     let resolved =
@@ -334,88 +263,34 @@ let work_blocking ~address ?(name = "perple-worker") ?(attempts = 10)
           end
         | Error m -> Error (Printf.sprintf "spec rejected: %s" m))
     in
-    match resolved with
-    | Error _ as e -> e
-    | Ok r -> run_index ~resolved:r ~spec ~index
+    Result.bind resolved (fun r -> run_index ~resolved:r ~spec ~index)
   in
-  (* One connection: pump the state machine and execute leased runs
-     until it stops; returns the stop reason and whether a lease was
-     taken. *)
-  let drive_once () =
-    match connect_fd address with
-    | Error m -> (m, false)
-    | Ok fd ->
-      let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
-      Fun.protect ~finally @@ fun () ->
-      let epoch = Unix.gettimeofday () in
-      let now () = int_of_float ((Unix.gettimeofday () -. epoch) *. 1000.) in
-      let w = create ~name ~now:(now ()) () in
-      let rec loop () =
-        if !stop_signal <> None then "signalled"
-        else
-          match status w with
-          | Stopped reason when Framed.is_empty (output w) -> reason
-          | Stopped _ ->
-            (match Framed.write_from fd w.outbound with
-            | `Wrote _ | `Would_block -> ()
-            | `Closed | `Error _ ->
-              Framed.consume w.outbound (Framed.length w.outbound));
-            loop ()
-          | Running ->
-            (match task w with
-            | Some tk -> (
-              match execute tk with
-              | Ok record -> task_done w ~now:(now ()) ~record
-              | Error reason ->
-                on_note (Printf.sprintf "shard failed: %s" reason);
-                task_failed w ~reason)
-            | None -> ());
-            let timeout = if task w = None then 0.05 else 0. in
-            let writers = if Framed.is_empty w.outbound then [] else [ fd ] in
-            (match Unix.select [ fd ] writers [] timeout with
-            | readable, writable, _ ->
-              (if writable <> [] then
-                 match Framed.write_from fd w.outbound with
-                 | `Wrote _ | `Would_block -> ()
-                 | `Closed | `Error _ -> eof w ~now:(now ()));
-              (if readable <> [] then
-                 let stage = Framed.create () in
-                 match Framed.read_into fd stage with
-                 | `Read _ -> input w ~now:(now ()) (Framed.take_all stage)
-                 | `Would_block -> ()
-                 | `Closed | `Error _ -> eof w ~now:(now ()))
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-            tick w ~now:(now ());
-            loop ()
-      in
-      let reason = loop () in
-      (reason, leases_taken w > 0)
+  Link.with_signals ~catch_stop:true @@ fun stop ->
+  let lost =
+    Link.reconnect address ~attempts ~backoff ~initial_delay_ms ~stop
+      ~on_retry:(fun reason delay_ms ->
+        on_note (Printf.sprintf "%s; reconnecting in %d ms" reason delay_ms))
+    @@ fun fd ->
+    let w = create ~name ~now:(Link.now ()) () in
+    (* One leased run per turn, and the next turn at once while more are
+       pending. *)
+    let run_task ~now:_ =
+      Option.iter
+        (fun tk ->
+          match execute tk with
+          | Ok record -> task_done w ~now:(Link.now ()) ~record
+          | Error reason ->
+            on_note (Printf.sprintf "shard failed: %s" reason);
+            task_failed w ~reason)
+        (task w);
+      tick w ~now:(Link.now ())
+    in
+    Link.drive ~stop fd ~input:(input w) ~eof:(eof w) ~tick:run_task
+      ~output:(output w) ~finished:(fun () -> w.stopped <> None)
+      ~busy:(fun () -> task w <> None);
+    Link.Lost
+      { reason = Option.value w.stopped ~default:"signalled";
+        worked = leases_taken w > 0; retry_after = None }
   in
-  let policy =
-    { Supervisor.watchdog_rounds = max_int; min_retired = 1;
-      max_retries = attempts - 1; backoff }
-  in
-  let rec go attempt delay_ms =
-    match !stop_signal with
-    | Some s -> Ok s
-    | None ->
-      let reason, worked = drive_once () in
-      if reason = "signalled" then Ok (Option.value !stop_signal ~default:Sys.sigterm)
-      else if retryable reason then begin
-        (* Progress on the last connection refills the retry budget: a
-           worker only gives up after [attempts] consecutive fruitless
-           connections (a restarting coordinator is fine; a gone one is
-           not). *)
-        let attempt, delay_ms =
-          if worked then (0, initial_delay_ms) else (attempt, delay_ms)
-        in
-        if attempt + 1 < attempts then begin
-          on_note (Printf.sprintf "%s; reconnecting in %d ms" reason delay_ms);
-          Unix.sleepf (float_of_int delay_ms /. 1000.);
-          go (attempt + 1) (Supervisor.backed_off policy delay_ms)
-        end
-        else Error reason
-      end
-      else Error reason
-  in
-  go 0 initial_delay_ms
+  (* A worker only ever stops by signal or by giving up. *)
+  match Link.stop_signal stop with Some s -> Ok s | None -> lost

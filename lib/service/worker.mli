@@ -9,17 +9,15 @@
     {!Wire.frame.Shard_result}, and honours {!Wire.frame.Revoke} by
     dropping the named lease (current or queued).  Any protocol
     violation, corrupt stream, daemon error, silence past the liveness
-    deadline or EOF moves the machine to [Stopped] with a reason the
-    client-side {!Client.retryable} classification understands.
+    deadline or EOF moves the machine to [Stopped] with a reason
+    {!Link.retryable} classifies.
 
-    {!work_blocking} drives the machine over a real socket and
-    reconnects on retryable stops with the
-    {!Perple_harness.Supervisor.backed_off} growth discipline;
-    reconnecting is safe because the coordinator detects the lost
-    session, revokes the lease, and treats any late result from the
+    {!work_blocking} runs the machine on {!Link.drive} inside
+    {!Link.reconnect}; reconnecting is safe because the coordinator
+    revokes a lost session's lease and treats any late result from the
     old epoch as a zombie. *)
 
-type config = { heartbeat_every : int; liveness_timeout : int }
+type config = Link.config = { heartbeat_every : int; liveness_timeout : int }
 
 val default_config : config
 
@@ -83,11 +81,8 @@ val run_index :
 (** {!run_shard} of the single run [index], sequentially: its canonical
     record line. *)
 
-type address = [ `Unix_socket of string | `Tcp of int ]
-(** Coordinator endpoint: a filesystem socket or a loopback TCP port. *)
-
 val work_blocking :
-  address:address ->
+  address:Link.address ->
   ?name:string ->
   ?attempts:int ->
   ?backoff:float ->
@@ -95,10 +90,9 @@ val work_blocking :
   ?on_note:(string -> unit) ->
   unit ->
   (int, string) result
-(** Connect to the coordinator, execute leases until told to stop.
-    Retryable disconnections reconnect up to [attempts] consecutive
-    fruitless times with exponentially grown sleeps; a connection that
-    executed at least one lease refills the budget.  Returns [Ok
-    signal] when stopped by SIGINT/SIGTERM, [Error reason] when the
-    coordinator rejected us or the retry budget ran dry.  [on_note]
-    receives human-readable progress lines. *)
+(** Connect to the coordinator and execute leases, reconnecting after
+    up to [attempts] consecutive fruitless connections (a connection
+    that took a lease refills the budget).  Returns [Ok signal] once
+    SIGINT/SIGTERM arrives, also mid-sleep, and [Error reason] when the
+    coordinator rejected us or the budget ran dry.  [on_note] receives
+    human-readable progress lines. *)

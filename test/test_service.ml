@@ -1116,6 +1116,229 @@ let test_daemon_end_to_end () =
            (fun j -> Json.member "kind" j = Some (Json.String "draining"))
            r.Journal.records)
 
+(* --- the connection layer over real processes ------------------------------- *)
+
+(* The built binary as an absolute path, or [None] outside a build tree
+   (the CI smoke jobs cover these paths there). *)
+let perple () =
+  Option.map
+    (fun bin ->
+      if Filename.is_relative bin then Filename.concat (Sys.getcwd ()) bin
+      else bin)
+    (Lazy.force binary)
+
+(* Start [argv] with stdout and stderr appended to [log]. *)
+let spawn ~log argv =
+  let out =
+    Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
+  in
+  let pid = Unix.create_process (List.hd argv) (Array.of_list argv) Unix.stdin out out in
+  Unix.close out;
+  pid
+
+let rec poll ~deadline f =
+  f () || (Unix.gettimeofday () < deadline && (Unix.sleepf 0.02; poll ~deadline f))
+
+let contains ~sub text =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length text && (String.sub text i n = sub || at (i + 1))
+  in
+  at 0
+
+(* Reap [pid] within [seconds]: [Some status], or [None] after a SIGKILL. *)
+let reap ~seconds pid =
+  let status = ref None in
+  ignore
+    (poll ~deadline:(Unix.gettimeofday () +. seconds) (fun () ->
+         match Unix.waitpid [ Unix.WNOHANG ] pid with
+         | 0, _ -> false
+         | _, st ->
+           status := Some st;
+           true));
+  if !status = None then begin
+    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+    ignore (Unix.waitpid [] pid)
+  end;
+  !status
+
+(* Kill [pid] unless it was already reaped. *)
+let cleanup pid =
+  match Unix.waitpid [ Unix.WNOHANG ] pid with
+  | 0, _ -> ignore (reap ~seconds:0. pid)
+  | _ | (exception Unix.Unix_error (Unix.ECHILD, _, _)) -> ()
+
+let expect_143 what = function
+  | Some (Unix.WEXITED 143) -> ()
+  | Some (Unix.WEXITED n) -> Alcotest.failf "%s exited %d, want 143" what n
+  | Some _ -> Alcotest.failf "%s died by a signal, want exit 143" what
+  | None -> Alcotest.failf "%s did not exit in time" what
+
+let terminate what pid =
+  Unix.kill pid Sys.sigterm;
+  expect_143 what (reap ~seconds:10. pid)
+
+(* [perple serve] on [sock], optionally under [ulimit -n fd_limit];
+   returns once the socket is bound. *)
+let serve ?fd_limit ~log bin sock extra =
+  let argv = bin :: "serve" :: "--socket" :: sock :: extra in
+  let argv =
+    match fd_limit with
+    | None -> argv
+    | Some n ->
+      "/bin/sh" :: "-c" :: Printf.sprintf "ulimit -n %d && exec \"$@\"" n
+      :: "sh" :: argv
+  in
+  let pid = spawn ~log argv in
+  if
+    not
+      (poll ~deadline:(Unix.gettimeofday () +. 10.) (fun () ->
+           Sys.file_exists sock))
+  then begin
+    ignore (reap ~seconds:0. pid);
+    Alcotest.failf "daemon never bound %s:\n%s" sock (read_file log)
+  end;
+  pid
+
+let submit bin ~sock ~out args =
+  let code =
+    Sys.command
+      (Printf.sprintf "%s submit %s --socket %s > %s 2> %s.err"
+         (Filename.quote bin) args (Filename.quote sock) (Filename.quote out)
+         (Filename.quote out))
+  in
+  if code <> 0 then
+    Alcotest.failf "submit %s exited %d:\n%s" args code (read_file (out ^ ".err"));
+  read_file out
+
+(* A daemon out of descriptors keeps serving: the failed accepts are
+   counted, the connections it holds drain, and the backlog is accepted
+   once descriptors free up.  It used to die on the uncaught EMFILE. *)
+let test_daemon_survives_emfile () =
+  match perple () with
+  | None -> ()
+  | Some bin ->
+    with_scratch @@ fun () ->
+    let sock = in_scratch "fd.sock" in
+    let pid = serve ~fd_limit:12 ~log:(in_scratch "serve.log") bin sock [] in
+    Fun.protect ~finally:(fun () -> cleanup pid) @@ fun () ->
+    let held =
+      List.init 20 (fun _ ->
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_UNIX sock);
+          fd)
+    in
+    Unix.sleepf 0.5;
+    List.iter Unix.close held;
+    let stream =
+      submit bin ~sock ~out:(in_scratch "after.stream")
+        "fd podwr000 --runs 2 --iterations 200"
+    in
+    check Alcotest.bool "the same daemon still streams" true
+      (contains ~sub:"metrics:" stream);
+    terminate "daemon" pid
+
+(* SIGTERM ends a worker's back-off sleep at once, not after it: the
+   sleeps double without a cap, so at --retries 50 they reach minutes. *)
+let test_worker_sigterm_while_backing_off () =
+  match perple () with
+  | None -> ()
+  | Some bin ->
+    with_scratch @@ fun () ->
+    let log = in_scratch "worker.log" in
+    let pid =
+      spawn ~log
+        [ bin; "worker"; "--socket"; in_scratch "nowhere.sock"; "--retries"; "50" ]
+    in
+    if
+      not
+        (poll ~deadline:(Unix.gettimeofday () +. 10.) (fun () ->
+             contains ~sub:"reconnecting in 1600 ms" (read_file log)))
+    then begin
+      ignore (reap ~seconds:0. pid);
+      Alcotest.failf "worker never reached the 1600 ms sleep:\n%s" (read_file log)
+    end;
+    Unix.kill pid Sys.sigterm;
+    expect_143 "worker within 0.5 s of SIGTERM" (reap ~seconds:0.5 pid)
+
+(* A real [perple worker] takes the daemon's shards, and the stream is
+   byte-identical to a worker-less daemon's. *)
+let test_daemon_with_real_worker () =
+  match perple () with
+  | None -> ()
+  | Some bin ->
+    with_scratch @@ fun () ->
+    let args = "wc sb --runs 8 --iterations 20000 --seed 11" in
+    let reference =
+      let sock = in_scratch "ref.sock" in
+      let pid = serve ~log:(in_scratch "ref.log") bin sock [] in
+      Fun.protect ~finally:(fun () -> cleanup pid) @@ fun () ->
+      let stream = submit bin ~sock ~out:(in_scratch "ref.stream") args in
+      terminate "reference daemon" pid;
+      stream
+    in
+    let sock = in_scratch "w.sock" and journal = in_scratch "w.journal" in
+    let daemon =
+      serve ~log:(in_scratch "serve.log") bin sock
+        [ "--journal"; journal; "--shard-runs"; "1" ]
+    in
+    let wlog = in_scratch "w1.log" in
+    let worker = spawn ~log:wlog [ bin; "worker"; "--socket"; sock; "--name"; "w1" ] in
+    Fun.protect ~finally:(fun () ->
+        cleanup worker;
+        cleanup daemon)
+    @@ fun () ->
+    (* Connected before the submit, so the in-process worker stands by. *)
+    ignore
+      (poll ~deadline:(Unix.gettimeofday () +. 10.) (fun () ->
+           contains ~sub:"dialling" (read_file wlog)));
+    Unix.sleepf 0.3;
+    let stream = submit bin ~sock ~out:(in_scratch "w.stream") args in
+    check Alcotest.string "stream matches the worker-less daemon" reference stream;
+    check Alcotest.bool "journal holds a w1 lease" true
+      (List.exists
+         (fun line ->
+           contains ~sub:"\"kind\":\"lease\"" line
+           && contains ~sub:"\"worker\":\"w1\"" line)
+         (String.split_on_char '\n' (read_file journal)));
+    terminate "worker" worker;
+    terminate "daemon" daemon
+
+(* An idle daemon and an idle connected worker sleep in their waits:
+   each spends at most 5% of its lifetime on the CPU. *)
+let test_idle_cpu () =
+  match perple () with
+  | None -> ()
+  | Some bin ->
+    with_scratch @@ fun () ->
+    let sock = in_scratch "idle.sock" in
+    let started = Unix.gettimeofday () in
+    let daemon = serve ~log:(in_scratch "serve.log") bin sock [] in
+    let worker =
+      spawn ~log:(in_scratch "w.log") [ bin; "worker"; "--socket"; sock ]
+    in
+    Fun.protect ~finally:(fun () ->
+        cleanup worker;
+        cleanup daemon)
+    @@ fun () ->
+    Unix.sleepf 2.0;
+    (* Children's CPU time is credited when they are reaped. *)
+    let cpu_of what pid =
+      let before = Unix.times () in
+      terminate what pid;
+      let after = Unix.times () in
+      after.Unix.tms_cutime +. after.Unix.tms_cstime
+      -. before.Unix.tms_cutime -. before.Unix.tms_cstime
+    in
+    let worker_cpu = cpu_of "worker" worker in
+    let daemon_cpu = cpu_of "daemon" daemon in
+    let lifetime = Unix.gettimeofday () -. started in
+    List.iter
+      (fun (what, cpu) ->
+        if cpu > 0.05 *. lifetime then
+          Alcotest.failf "idle %s used %.3f s of CPU in %.2f s" what cpu lifetime)
+      [ ("worker", worker_cpu); ("daemon", daemon_cpu) ]
+
 (* --- suite ------------------------------------------------------------------- *)
 
 let suite =
@@ -1184,5 +1407,13 @@ let suite =
       [
         Alcotest.test_case "end-to-end over a unix socket" `Slow
           test_daemon_end_to_end;
+        Alcotest.test_case "survives running out of descriptors" `Slow
+          test_daemon_survives_emfile;
+        Alcotest.test_case "worker stops on SIGTERM while backing off" `Slow
+          test_worker_sigterm_while_backing_off;
+        Alcotest.test_case "real worker streams the reference" `Slow
+          test_daemon_with_real_worker;
+        Alcotest.test_case "idle daemon and worker stay off the CPU" `Slow
+          test_idle_cpu;
       ] );
   ]
